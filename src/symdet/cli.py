@@ -71,7 +71,7 @@ def _sym_payload(shape: Partition, jobs: int) -> dict:
         "dimension": _poly_json(result.dimension),
         "blocks": blocks,
         "c_exact": result.c_formula.to_json(),
-        "c_reduced": reduced.to_json(),
+        "c_reduced": {**reduced.to_json(), "latex": reduced.render_latex()},
         "detB_exponent": str(result.detB_exponent),
     }
 
@@ -106,7 +106,6 @@ def _render_sym_latex(payload: dict) -> str:
 
 def cmd_sym(args: argparse.Namespace) -> int:
     payload = _sym_payload(args.partition, args.jobs)
-    payload["c_reduced"]["latex"] = _latex_of_reduced(args.partition)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "latex":
@@ -114,10 +113,6 @@ def cmd_sym(args: argparse.Namespace) -> int:
     else:
         print(_render_sym_text(payload))
     return 0
-
-
-def _latex_of_reduced(shape: Partition) -> str:
-    return symmetrization_determinant(shape).c_reduced().render_latex()
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("need a partition of n >= 2")
 
     if args.command == "sym":
+        if args.partition.n > MAX_TABLE_N:
+            parser.error(f"beyond supported degree (n <= {MAX_TABLE_N})")
         return cmd_sym(args)
     if args.command == "table":
         if not 2 <= args.n <= MAX_TABLE_N:

@@ -7,14 +7,19 @@ positions and re-symmetrizing.  For each smaller shape gamma the
 coupling is a symmetric matrix of polynomials in N; its size is the
 multiplicity and its determinant class feeds the refined determinant.
 
-All concrete computation runs in the orthonormal model (every basis
-vector of norm 1): the couplings are polynomials in N alone, so no
-generality is lost.
+Everything runs in the orthonormal model (every basis vector of norm
+1): the couplings are polynomials in N alone, so no generality is lost.
+Insertion and contraction are the Brauer-algebra action, so each
+coupling entry is a strand count over words whose inserted pairs stay
+dummy letters, evaluated once with N symbolic.  ``ConcreteTensor`` and
+the functions on it evaluate the same objects at a concrete N; they are
+kept as the independent oracle the symbolic path is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,14 +29,19 @@ from .exact import (
     POLY_N,
     Poly,
     SquareClassFormula,
-    interpolate,
     poly_factor_rational,
     poly_matrix_det,
     poly_matrix_rank,
     squarefree_part,
 )
 from .gram import symmetrization_determinant
-from .symmetrizer import SignedWordSum, apply_symmetrizer
+from .symmetrizer import (
+    SignedWordSum,
+    apply_symmetrizer,
+    column_sum,
+    row_sum,
+    symmetrize,
+)
 
 Word = tuple[int, ...]
 Chain = tuple[tuple[int, int], ...]
@@ -140,48 +150,10 @@ def embed_chain(chain: Chain, src: ConcreteTensor, target_degree: int) -> Concre
 
 
 def symmetrize_tensor(shape: Partition, t: ConcreteTensor) -> ConcreteTensor:
-    """Apply the shape's symmetrizer to every term.
-
-    Terms are first merged by their row-sorted form: words in one row
-    orbit have identical symmetrizer images, so only one orbit sum per
-    class is expanded.
-    """
-    from .symmetrizer import _symmetrizer_tables
-
+    """Apply the shape's symmetrizer to every term."""
     if t.degree != shape.n:
         raise ValueError("degree must match the shape weight")
-    if shape.n < 2:
-        return ConcreteTensor(t.degree, t.dim, dict(t.terms))
-    rows, cols = _symmetrizer_tables(shape)
-    segs = []
-    start = 0
-    for p in shape.parts:
-        segs.append((start, start + p))
-        start += p
-    merged: dict[Word, Fraction] = {}
-    for word, coeff in t.terms.items():
-        key = tuple(x for a, b in segs for x in sorted(word[a:b]))
-        c = merged.get(key, 0) + coeff
-        if c:
-            merged[key] = c
-        else:
-            del merged[key]
-    acc: dict[Word, Fraction] = {}
-    for word, coeff in merged.items():
-        row_orbit: dict[Word, int] = {}
-        for get in rows:
-            u = get(word)
-            row_orbit[u] = row_orbit.get(u, 0) + 1
-        for get, sign in cols:
-            s = sign * coeff
-            for u, cnt in row_orbit.items():
-                v = get(u)
-                c = acc.get(v, 0) + s * cnt
-                if c:
-                    acc[v] = c
-                else:
-                    del acc[v]
-    return ConcreteTensor(t.degree, t.dim, acc)
+    return ConcreteTensor(t.degree, t.dim, symmetrize(shape, t.terms))
 
 
 def reference_vector(gamma: Partition, dim: int) -> ConcreteTensor:
@@ -193,8 +165,6 @@ def reference_vector(gamma: Partition, dim: int) -> ConcreteTensor:
     m = gamma.n
     if dim < m:
         raise ValueError("ambient dimension too small for the reference vector")
-    if m == 0:
-        return ConcreteTensor(0, dim, {(): Fraction(1)})
     word = tuple(range(1, m + 1))
     img = apply_symmetrizer(frame_of(gamma), word)
     return ConcreteTensor.from_word_sum(img, dim)
@@ -312,31 +282,6 @@ class RefinedConstituent:
     reduced_ok: bool  # False when the determinant did not split
 
 
-def _interpolated_gram(
-    shape: Partition, gamma: Partition, chains: list[Chain]
-) -> list[list[Poly]]:
-    """Entrywise polynomial Gram over the sample window.
-
-    Each entry has degree at most twice the chain length; sampling at
-    2j+2 consecutive dimensions leaves one point to cross-check the
-    degree model, and a failure raises rather than refitting.
-    """
-    n = shape.n
-    j = len(chains[0])
-    bound = 2 * j
-    samples = list(range(n, n + bound + 2))
-    grams = {N: constituent_gram(shape, gamma, chains, N) for N in samples}
-    size = len(chains)
-    out = [[Poly()] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            pts = [(N, grams[N][a][b]) for N in samples]
-            p = interpolate(pts, bound)
-            out[a][b] = p
-            out[b][a] = p
-    return out
-
-
 def _reduce_det(det: Poly) -> tuple[Poly, bool]:
     """Square-class representative of a polynomial value.
 
@@ -362,53 +307,108 @@ def _candidate_chains(n: int, j: int) -> list[Chain]:
     return structured + [c for c in all_disjoint_chains(n, j) if c not in seen]
 
 
-def _nonzero_chains(shape: Partition, gamma: Partition, candidates: list[Chain], N: int):
-    """Chains whose symmetrized embedding of the reference vector survives.
+def _dummy_embed(chain: Chain, v: dict[Word, int], n: int, first: int) -> dict[Word, int]:
+    """Chain embedding of v with pair k written as the dummy letter -(first + k)."""
+    slots = [p for p in range(n) if all(p + 1 not in ij for ij in chain)]
+    out = {}
+    for word, coeff in v.items():
+        w = [0] * n
+        for p, letter in zip(slots, word):
+            w[p] = letter
+        for k, (i, jj) in enumerate(chain, 1):
+            w[i - 1] = w[jj - 1] = -(first + k)
+        out[tuple(w)] = coeff
+    return out
 
-    The ambient form is positive definite in the orthonormal model, so
-    a chain contributes to the coupling at this N exactly when its
-    image is nonzero; if the constituent is present at all, some chain
-    image must survive (a nonzero invariant map cannot kill a nonzero
-    vector of an irreducible).
+
+def _pairing(xs: dict[Word, int], ys: dict[Word, int], j: int) -> list[int]:
+    """<x, y> summed over every dummy value, as coefficients of N^0..N^j.
+
+    The dummies of y must differ from those of x.  Position p ties x's
+    letter to y's, and the ties join letters into strands: a closed
+    strand of dummies is a free sum, a factor N, and a strand through
+    two different letters gives 0.  Each tie that joins two strands is
+    one entry of ``root``; when every letter keeps a strand of its own,
+    the 2j dummies close 2j - len(root) strands.
     """
-    v = reference_vector(gamma, N)
-    for ch in candidates:
-        if not symmetrize_tensor(shape, embed_chain(ch, v, shape.n)).is_zero():
-            yield ch
+    counts = [0] * (j + 1)
+    for x, cx in xs.items():
+        for y, cy in ys.items():
+            root: dict[int, int] = {}
+            for a, b in zip(x, y):
+                while a in root:
+                    a = root[a]
+                while b in root:
+                    b = root[b]
+                if a == b:
+                    continue
+                if a > 0 and b > 0:
+                    break
+                if a < b:
+                    root[a] = b
+                else:
+                    root[b] = a
+            else:
+                counts[2 * j - len(root)] += cx * cy
+    return counts
 
 
 @lru_cache(maxsize=None)
 def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent | None:
     """Coupling of a smaller shape inside a symmetrization, or None.
 
-    Scans candidate chains for surviving images, interpolates the Gram
-    of the survivors to polynomials, and reads the multiplicity off as
-    the rank over the rational function field.  A pool whose rank
-    saturates it is widened before the multiplicity is trusted; absence
-    means every disjoint-pair chain killed the reference vector, which
-    is cross-checked at a second dimension.
+    With w0 = (1..m), gamma's reference vector is v = e' w0 for gamma's
+    symmetrizer e' = C' R', and X_c(u) embeds u along chain c, each
+    inserted pair kept as one dummy letter.  Entry (a,b) is
+    <e X_a(v), e X_b(v)> / <v,v>.  As e = C R with R* = R, C* = C and
+    C^2 = |C| C, it is |C| <X_a(v), R C R X_b(v)> / <v,v>.  Each term of
+    v relabels the letters of w0, and the pairing is unchanged when
+    both sides relabel alike, so X_a(v) may be moved onto X_a(w0) with
+    v replaced by e' e'* w0 = |R'| C' R' C' w0 on the other side: one
+    word against one sum, paired by an exact strand count with N
+    symbolic.  A chain survives when its diagonal entry is nonzero.
+    The multiplicity is the rank over the rational function field, read
+    off the first surviving chains; a pool whose rank saturates it is
+    widened before the multiplicity is trusted.  None means every
+    disjoint-pair chain is killed.
     """
     n, m = shape.n, gamma.n
     if (n - m) % 2 or n == m:
         raise ValueError("gamma must have weight n - 2j for some j >= 1")
     j = (n - m) // 2
+    w0 = {tuple(range(1, m + 1)): 1}
+    v = symmetrize(gamma, w0)
+    v_adj = symmetrize(gamma, column_sum(gamma, w0))
+    orders = math.prod(map(math.factorial, shape.conjugate().parts + gamma.parts))
+    scale = Fraction(orders, sum(c * c for c in v.values()))
+    halves: dict[Chain, tuple[dict[Word, int], dict[Word, int]]] = {}
+    entries: dict[tuple[Chain, Chain], Poly] = {}
 
-    candidates = _candidate_chains(n, j)
-    survivors = _nonzero_chains(shape, gamma, candidates, n + 1)
-    pool = list(itertools.islice(survivors, 4))
+    def entry(a: Chain, b: Chain) -> Poly:
+        if (a, b) not in entries:
+            counts = _pairing(halves[a][0], halves[b][1], j)
+            entries[a, b] = entries[b, a] = Poly([scale * c for c in counts])
+        return entries[a, b]
+
+    def survivors():
+        for ch in _candidate_chains(n, j):
+            x = _dummy_embed(ch, v_adj, n, j)
+            rcr = row_sum(shape, column_sum(shape, row_sum(shape, x)))
+            halves[ch] = _dummy_embed(ch, w0, n, 0), rcr
+            if entry(ch, ch):
+                yield ch
+
+    found = survivors()
+    pool = list(itertools.islice(found, 4))
     if not pool:
-        if any(True for _ in _nonzero_chains(shape, gamma, candidates, n + 2)):
-            raise ArithmeticError(
-                f"inconsistent vanishing for {shape} / {gamma}"
-            )  # pragma: no cover
         return None
 
     while True:
-        gram = _interpolated_gram(shape, gamma, pool)
+        gram = [[entry(a, b) for b in pool] for a in pool]
         rank = poly_matrix_rank(gram)
         if rank < len(pool):
             break
-        extra = list(itertools.islice(survivors, 2 * rank + 2 - len(pool)))
+        extra = list(itertools.islice(found, 2 * rank + 2 - len(pool)))
         if not extra:
             break
         pool += extra

@@ -1,9 +1,11 @@
 """Row/column symmetrizer acting on formal sums of words.
 
 A word is the letter sequence of a pure tensor (letter i at tensor
-position i).  The symmetrizer of a shape is the signed double sum over
-its column group and row group; applying it to a word yields a signed
-integer combination of words with the same letter multiset.
+position i).  The symmetrizer of a shape is e = C*R, the signed sum C
+over its column group after the sum R over its row group; applying it
+to a word yields a signed integer combination of words with the same
+letter multiset.  One kernel, ``symmetrize``, implements it for every
+caller over plain ``dict[word, coeff]`` combinations.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
 from .combinat import Partition, TableauFrame, frame_of
 
 Word = tuple[int, ...]
+Coeff = int | Fraction
 
 
 @dataclass
@@ -44,14 +48,6 @@ class SignedWordSum:
             and self.shape == other.shape
             and self.terms == other.terms
         )
-
-    def sorted_terms(self) -> list[tuple[Word, int]]:
-        return sorted(self.terms.items())
-
-    def content(self) -> tuple[int, ...]:
-        if not self.terms:
-            return ()
-        return tuple(sorted(next(iter(self.terms))))
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -103,20 +99,76 @@ def _block_permutations(blocks: tuple[tuple[int, ...], ...], n: int):
 def _symmetrizer_tables(shape: Partition):
     """Compiled permutation appliers for the row-major frame.
 
-    Returns (row getters, signed column getters); a getter maps a word
-    tuple to its image under one group element.  Requires n >= 2.
+    Returns (row segments, row getters, signed column getters, column
+    readers); a getter maps a word tuple to its image under one group
+    element, a reader returns the letters of one column of length >= 2.
+    Below n = 2 both groups are trivial and ``tuple`` is the identity.
     """
     frame = frame_of(shape)
     n = shape.n
     if n < 2:
-        raise ValueError("symmetrizer tables need n >= 2")
+        return ((0, n),), (tuple,), ((tuple, 1),), ()
+    segs = tuple((row[0], row[-1] + 1) for row in frame.rows)
     rows = tuple(
         itemgetter(*inv) for inv, _ in _block_permutations(frame.rows, n)
     )
     cols = tuple(
         (itemgetter(*inv), sign) for inv, sign in _block_permutations(frame.cols, n)
     )
-    return rows, cols
+    readers = tuple((itemgetter(*c), len(c)) for c in frame.cols if len(c) > 1)
+    return segs, rows, cols, readers
+
+
+def row_sum(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
+    """R*x, the row-group orbit sum.
+
+    Words in one row orbit have the same orbit sum, so terms are merged
+    by their row-sorted form first and each orbit is expanded once.
+    """
+    segs, rows, _, _ = _symmetrizer_tables(shape)
+    classes: dict[Word, Coeff] = {}
+    for word, coeff in terms.items():
+        key = tuple(x for a, b in segs for x in sorted(word[a:b]))
+        classes[key] = classes.get(key, 0) + coeff
+    out: dict[Word, Coeff] = {}
+    for word, coeff in classes.items():
+        if not coeff:
+            continue
+        for get in rows:
+            u = get(word)
+            out[u] = out.get(u, 0) + coeff
+    return out
+
+
+def column_sum(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
+    """C*x, the signed column-group sum.
+
+    A word with a repeated letter inside one column is fixed by an odd
+    transposition, so its signed sum is exactly 0 and it is skipped.
+    """
+    _, _, cols, readers = _symmetrizer_tables(shape)
+    out: dict[Word, Coeff] = {}
+    for word, coeff in terms.items():
+        for read, k in readers:
+            if len(set(read(word))) < k:
+                break
+        else:
+            for get, sign in cols:
+                v = get(word)
+                c = out.get(v, 0) + sign * coeff
+                if c:
+                    out[v] = c
+                else:
+                    out.pop(v, None)
+    return out
+
+
+def symmetrize(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
+    """e*x = C*(R*x) for a combination of words of length shape.n.
+
+    Letters may be any ints and coefficients int or Fraction.
+    """
+    return column_sum(shape, row_sum(shape, terms))
 
 
 def word_of_tableau(frame: TableauFrame, tableau: tuple[tuple[int, ...], ...]) -> Word:
@@ -132,33 +184,9 @@ def apply_symmetrizer(frame: TableauFrame, word: Word) -> SignedWordSum:
     The row group acts first, the signed column group second; the
     coefficient of each image word is accumulated exactly.
     """
-    n = frame.shape.n
-    if len(word) != n:
+    if len(word) != frame.shape.n:
         raise ValueError("word length must equal the shape weight")
-    if n < 2:
-        return SignedWordSum(frame.shape, {word: 1})
-    rows, cols = _symmetrizer_tables(frame.shape)
-    row_orbit: dict[Word, int] = {}
-    for get in rows:
-        u = get(word)
-        row_orbit[u] = row_orbit.get(u, 0) + 1
-    out = SignedWordSum(frame.shape)
-    terms = out.terms
-    for get, sign in cols:
-        for u, cnt in row_orbit.items():
-            v = get(u)
-            c = terms.get(v, 0) + sign * cnt
-            if c:
-                terms[v] = c
-            else:
-                del terms[v]
-    return out
-
-
-def symmetrizer_order(shape: Partition) -> int:
-    """|row group| * |column group|, the number of summands."""
-    rows, cols = _symmetrizer_tables(shape)
-    return len(rows) * len(cols)
+    return SignedWordSum(frame.shape, symmetrize(frame.shape, {word: 1}))
 
 
 def inner_product_reduced(u: SignedWordSum, v: SignedWordSum) -> int:
@@ -172,13 +200,7 @@ def inner_product_reduced(u: SignedWordSum, v: SignedWordSum) -> int:
 
 
 def apply_symmetrizer_to_sum(shape: Partition, s: SignedWordSum) -> SignedWordSum:
-    out = SignedWordSum(shape)
-    frame = frame_of(shape)
-    for word, coeff in s.terms.items():
-        img = apply_symmetrizer(frame, word)
-        for w, c in img.terms.items():
-            out.add(w, c * coeff)
-    return out
+    return SignedWordSum(shape, symmetrize(shape, s.terms))
 
 
 def idempotent_scale(shape: Partition) -> int:

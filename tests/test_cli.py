@@ -57,6 +57,15 @@ class TestSymCommand:
             main(["sym", "0"])
         assert exc.value.code == 2
 
+    def test_beyond_supported_degree(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computation started before the weight check")
+
+        monkeypatch.setattr("symdet.cli.symmetrization_determinant", forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main(["sym", "10"])
+        assert exc.value.code == 2
+
     def test_single_box_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["sym", "1"])

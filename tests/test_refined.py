@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdet.combinat import Partition
-from symdet.exact import Poly
+import symdet.exact
+import symdet.refined
+from symdet.combinat import Partition, partitions_of
+from symdet.exact import Poly, interpolate
 from symdet.refined import (
     ConcreteTensor,
+    _candidate_chains,
     all_disjoint_chains,
     chain_pool,
     constituent_gram,
@@ -17,6 +20,7 @@ from symdet.refined import (
     pi_contract,
     reference_vector,
     refined_decomposition,
+    symmetrize_tensor,
 )
 
 P = Partition
@@ -252,3 +256,72 @@ class TestRefinedDecomposition:
         single = refined_decomposition(P((1,)))
         assert single.refined_dimension == Poly((0, 1))
         assert single.refined_det.detB_exponent == Poly.const(1)
+
+
+def _interpolated_coupling(shape, c):
+    """The coupling rebuilt from concrete-N Grams of the chosen chains."""
+    j = len(c.chains[0])
+    samples = range(shape.n, shape.n + 2 * j + 2)
+    grams = {N: constituent_gram(shape, c.gamma, list(c.chains), N) for N in samples}
+    size = len(c.chains)
+    return tuple(
+        tuple(
+            interpolate([(N, grams[N][a][b]) for N in samples], 2 * j)
+            for b in range(size)
+        )
+        for a in range(size)
+    )
+
+
+class TestSymbolicAgainstConcrete:
+    @pytest.mark.parametrize(
+        "shape,gamma",
+        [
+            (P((4, 2)), P((2,))),  # multiplicity 2
+            (P((4, 2)), P(())),
+            (P((3, 3)), P((1, 1))),
+            (P((2, 2, 1, 1)), P((1, 1))),
+        ],
+        ids=str,
+    )
+    def test_named_couplings(self, shape, gamma):
+        c = constituent_poly(shape, gamma)
+        assert _interpolated_coupling(shape, c) == c.c_matrix
+
+    @pytest.mark.parametrize(
+        "shape", [p for n in range(2, 6) for p in partitions_of(n)], ids=str
+    )
+    def test_every_coupling_up_to_weight_five(self, shape):
+        for c in refined_decomposition(shape).constituents:
+            assert _interpolated_coupling(shape, c) == c.c_matrix, c.gamma
+
+    def test_absent_constituent_images_vanish_concretely(self):
+        shape, gamma = P((4, 2)), P((1, 1))
+        assert constituent_poly(shape, gamma) is None
+        v = reference_vector(gamma, 7)
+        for chain in _candidate_chains(shape.n, 2):
+            image = symmetrize_tensor(shape, embed_chain(chain, v, shape.n))
+            assert image.is_zero(), chain
+
+    def test_no_concrete_dimension_is_evaluated(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("concrete-N evaluation on the symbolic path")
+
+        for name in (
+            "constituent_gram",
+            "embed_chain",
+            "symmetrize_tensor",
+            "reference_vector",
+            "interpolate",
+        ):
+            monkeypatch.setattr(symdet.refined, name, forbidden, raising=False)
+        monkeypatch.setattr(symdet.exact, "interpolate", forbidden)
+        constituent_poly.cache_clear()
+        refined_decomposition.cache_clear()
+        try:
+            for n in range(2, 6):
+                for shape in partitions_of(n):
+                    refined_decomposition(shape)
+        finally:
+            constituent_poly.cache_clear()
+            refined_decomposition.cache_clear()

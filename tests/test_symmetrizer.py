@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -17,6 +18,7 @@ from symdet.symmetrizer import (
     apply_symmetrizer_to_sum,
     idempotent_scale,
     inner_product_reduced,
+    symmetrize,
     word_of_tableau,
 )
 
@@ -161,3 +163,58 @@ def test_signed_word_sum_add_cancels():
     s.add((1, 2), 5)
     s.add((1, 2), -5)
     assert s.terms == {}
+
+
+def _naive_symmetrizer(shape, terms):
+    """Signed double sum over explicitly enumerated row and column permutations."""
+    frame = frame_of(shape)
+
+    def group(blocks):
+        for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+            perm = list(range(shape.n))
+            for block, image in zip(blocks, images):
+                for src, dst in zip(block, image):
+                    perm[src] = dst
+            yield perm
+
+    def act(perm, word):
+        out = [None] * len(word)
+        for i, letter in enumerate(word):
+            out[perm[i]] = letter
+        return tuple(out)
+
+    def sign(perm):
+        pairs = itertools.combinations(range(len(perm)), 2)
+        inversions = sum(1 for i, j in pairs if perm[i] > perm[j])
+        return -1 if inversions % 2 else 1
+
+    out = {}
+    for word, coeff in terms.items():
+        for r in group(frame.rows):
+            u = act(r, word)
+            for c in group(frame.cols):
+                v = act(c, u)
+                out[v] = out.get(v, 0) + sign(c) * coeff
+    return {w: c for w, c in out.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([p for n in range(2, 6) for p in partitions_of(n)]),
+    st.data(),
+)
+def test_kernel_matches_naive_double_sum(shape, data):
+    letters = st.integers(min_value=-2, max_value=2).filter(bool)
+    coeffs = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    )
+    terms = data.draw(
+        st.dictionaries(
+            st.tuples(*[letters] * shape.n).filter(lambda w: len(set(w)) < len(w)),
+            coeffs,
+            min_size=1,
+            max_size=3,
+        )
+    )
+    assert symmetrize(shape, terms) == _naive_symmetrizer(shape, terms)
