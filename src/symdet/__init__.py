@@ -10,7 +10,7 @@ coupling matrices and determinants.
 
 Main entry points
 -----------------
-- :func:`symdet.gram.symmetrization_determinant`
+- :func:`symdet.gram.symmetrization_determinant` / :func:`symdet.gram.symmetrization_determinants`
 - :func:`symdet.gram.gram_block`
 - :func:`symdet.gram.closed_form_c`
 - :func:`symdet.refined.refined_decomposition`
@@ -21,7 +21,7 @@ Main entry points
 
 from .combinat import Partition, compositions_of, dimension_poly, partitions_of
 from .exact import Poly, SquareClassFormula, interpolate, poly_factor_rational, squarefree_part
-from .gram import closed_form_c, gram_block, hook_block_det, symmetrization_determinant
+from .gram import closed_form_c, gram_block, hook_block_det, symmetrization_determinant, symmetrization_determinants
 from .refined import constituent_gram, constituent_poly, phi_insert, pi_contract, refined_decomposition
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "refined_decomposition",
     "squarefree_part",
     "symmetrization_determinant",
+    "symmetrization_determinants",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .combinat import Partition, partitions_of
 from .exact import Poly, squarefree_part
-from .gram import gram_block, symmetrization_determinant
+from .gram import gram_block, symmetrization_determinants
 from .refined import refined_decomposition
 
 
@@ -134,8 +134,8 @@ def verify_sym(golden: GoldenTables, jobs: int = 1) -> VerifyReport:
     """Recompute every table row and worked matrix; diff against golden."""
     mismatches = []
     checked = 0
-    for row in golden.sym_rows:
-        result = symmetrization_determinant(row.partition, jobs=jobs)
+    results = symmetrization_determinants([row.partition for row in golden.sym_rows], jobs)
+    for row, result in zip(golden.sym_rows, results):
         checked += 1
         if result.dimension != row.dimension:
             mismatches.append(

@@ -12,9 +12,11 @@ exact exponent dim * n / N.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .combinat import (
     Partition,
@@ -31,9 +33,8 @@ from .exact import (
     SquareClassFormula,
     bareiss_det,
     binomial_poly,
-    factorint,
 )
-from .symmetrizer import apply_symmetrizer, inner_product_reduced, word_of_tableau
+from .symmetrizer import column_sum, row_sum, word_of_tableau
 
 
 class NoTableauxError(ValueError):
@@ -61,28 +62,26 @@ class GramBlock:
 def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     """Exact Gram block of the symmetrized tableau basis for one pattern.
 
-    Entry (s,t) is the coefficientwise inner product of the symmetrizer
-    images of the tableau words; the determinant comes from fraction-free
-    elimination over the integers.
+    Entry (s,t) is <e u_s, e u_t> = |C| * <R u_s, e u_t> for tableau words
+    u, since e = C*R with R* = R, C* = C and C^2 = |C|*C; the determinant
+    comes from fraction-free elimination over the integers.
     """
     tableaux = ssyt_with_pattern(shape, pattern)
     if not tableaux:
         raise NoTableauxError(f"no tableaux for shape {shape} pattern {pattern}")
     frame = frame_of(shape)
-    images = [apply_symmetrizer(frame, word_of_tableau(frame, t)) for t in tableaux]
+    orbits = [row_sum(shape, {word_of_tableau(frame, t): 1}) for t in tableaux]
+    images = [column_sum(shape, orbit) for orbit in orbits]
+    col_order = math.prod(math.factorial(len(col)) for col in frame.cols)
     size = len(images)
     matrix = [[0] * size for _ in range(size)]
     for i in range(size):
-        for j in range(i, size):
-            v = inner_product_reduced(images[i], images[j])
+        for j, image in enumerate(images[i:], i):
+            v = col_order * sum(c * image.get(w, 0) for w, c in orbits[i].items())
             matrix[i][j] = v
             matrix[j][i] = v
     det = bareiss_det(matrix)
     return GramBlock(shape, pattern, tuple(tuple(row) for row in matrix), det)
-
-
-def _block_task(args: tuple[Partition, Pattern]) -> GramBlock:
-    return gram_block(*args)
 
 
 @dataclass
@@ -107,31 +106,37 @@ def patterns_of(shape: Partition) -> list[Pattern]:
     return [p for p in compositions_of(shape.n) if kostka(shape, p) > 0]
 
 
-@lru_cache(maxsize=None)
-def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
-    """Assemble every Gram block of a shape and the determinant formula.
+def symmetrization_determinants(shapes: list[Partition], jobs: int = 1) -> list[SymDetResult]:
+    """Every Gram block and the determinant formula of each shape, in input order.
 
-    Blocks are independent, so they may be computed in parallel; the
-    reduction runs in the fixed pattern order either way.
+    All blocks go to one pool of min(jobs, cores, blocks) workers, or run
+    serially when that is 1; each shape is reduced in fixed pattern order.
     """
-    if shape.n < 1:
+    if any(shape.n < 1 for shape in shapes):
         raise ValueError("need a partition of n >= 1")
-    pats = patterns_of(shape)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_block_task, [(shape, p) for p in pats]))
+    tasks = [(s, p) for s in dict.fromkeys(shapes) for p in patterns_of(s)]
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        chunksize = max(1, len(tasks) // (16 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(gram_block, *zip(*tasks), chunksize=chunksize))
     else:
-        blocks = [gram_block(shape, p) for p in pats]
-    block_map = {b.pattern: b for b in blocks}
+        blocks = [gram_block(s, p) for s, p in tasks]
+    results = {}
+    for shape, own in groupby(blocks, key=lambda b: b.shape):
+        block_map = {b.pattern: b for b in own}
+        c_formula = SquareClassFormula.one()
+        for b in block_map.values():
+            c_formula = c_formula.times(SquareClassFormula.from_integer(b.det, binomial_poly(b.k)))
+        dim = dimension_poly(shape)
+        detb = (dim * shape.n).divexact(POLY_N)
+        results[shape] = SymDetResult(shape, block_map, c_formula, dim, detb)
+    return [results[shape] for shape in shapes]
 
-    c_formula = SquareClassFormula.one()
-    for b in blocks:
-        c_formula = c_formula.times(
-            SquareClassFormula.from_integer(b.det, binomial_poly(b.k))
-        )
-    dim = dimension_poly(shape)
-    detb = (dim * shape.n).divexact(POLY_N)
-    return SymDetResult(shape, block_map, c_formula, dim, detb)
+
+def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
+    """One shape through :func:`symmetrization_determinants`."""
+    return symmetrization_determinants([shape], jobs)[0]
 
 
 # ---------------------------------------------------------------------------

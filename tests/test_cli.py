@@ -4,7 +4,8 @@ from importlib import resources
 import pytest
 
 from symdet.cli import main, parse_partition
-from symdet.combinat import Partition
+from symdet.combinat import Partition, partitions_of
+from symdet.gram import patterns_of
 
 
 def run(capsys, *argv):
@@ -159,3 +160,51 @@ class TestDeterminism:
         _, serial = run(capsys, "--jobs", "1", "sym", "2,2")
         _, parallel = run(capsys, "--jobs", "2", "sym", "2,2")
         assert serial == parallel
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by an in-process stand-in.
+
+    Returns the list of ``max_workers`` values, one per pool built.  No
+    real process is started, so large job counts are safe to pass.
+    """
+    built = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("symdet.gram.ProcessPoolExecutor", FakeExecutor)
+    return built
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("cores", [3, 10**6])
+    def test_huge_jobs_is_clamped(self, capsys, monkeypatch, fake_pool, cores):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        blocks = sum(len(patterns_of(s)) for n in (2, 3, 4) for s in partitions_of(n))
+        _, clamped = run(capsys, "--jobs", "1000000", "--format", "json", "table", "--n", "4")
+        assert fake_pool == [min(cores, blocks)]
+        _, serial = run(capsys, "--jobs", "1", "--format", "json", "table", "--n", "4")
+        assert fake_pool == [min(cores, blocks)]  # --jobs 1 builds no pool
+        assert clamped == serial
+
+    @pytest.mark.parametrize(
+        "command", [("table", "--n", "7"), ("verify", "--scope", "sym")]
+    )
+    def test_one_pool_per_command(self, capsys, monkeypatch, fake_pool, command):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        code, _ = run(capsys, "--jobs", "2", *command)
+        assert code == 0
+        assert fake_pool == [2]

@@ -10,6 +10,7 @@ from symdet.combinat import (
     frame_of,
     kostka,
     partitions_of,
+    ssyt_with_pattern,
 )
 from symdet.exact import POLY_N, Poly
 from symdet.gram import (
@@ -19,8 +20,9 @@ from symdet.gram import (
     hook_block_det,
     patterns_of,
     symmetrization_determinant,
+    symmetrization_determinants,
 )
-from symdet.symmetrizer import apply_symmetrizer, word_of_tableau
+from symdet.symmetrizer import apply_symmetrizer, inner_product_reduced, word_of_tableau
 
 P = Partition
 
@@ -115,6 +117,24 @@ class TestBlockDiagonalStructure:
                                 assert entry == expect, (shape, N, content)
 
 
+class TestAdjointIdentity:
+    def test_blocks_match_full_image_products(self):
+        # gram_block computes |C| * <R u, e v>; the reference is <e u, e v>
+        # over the full symmetrizer images
+        for n in range(2, 8):
+            for shape in partitions_of(n):
+                frame = frame_of(shape)
+                for pattern in patterns_of(shape):
+                    images = [
+                        apply_symmetrizer(frame, word_of_tableau(frame, t))
+                        for t in ssyt_with_pattern(shape, pattern)
+                    ]
+                    expected = tuple(
+                        tuple(inner_product_reduced(u, v) for v in images) for u in images
+                    )
+                    assert gram_block(shape, pattern).matrix == expected, (shape, pattern)
+
+
 def _pattern_of(content):
     from collections import Counter
 
@@ -168,6 +188,25 @@ class TestSymmetrizationDeterminant:
         assert {p: b.matrix for p, b in serial.blocks.items()} == {
             p: b.matrix for p, b in parallel.blocks.items()
         }
+
+
+class TestBatch:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_per_shape_calls(self, jobs):
+        shapes = [s for n in range(1, 6) for s in partitions_of(n)]
+        shapes.insert(3, P((3, 2)))  # repeated: its blocks must count once
+        results = symmetrization_determinants(shapes, jobs=jobs)
+        assert [r.shape for r in results] == shapes
+        for shape, result in zip(shapes, results):
+            single = symmetrization_determinant(shape)
+            assert list(result.blocks.items()) == list(single.blocks.items()), shape
+            assert result.c_formula.to_json() == single.c_formula.to_json()
+            assert result.c_formula.reduced_key() == single.c_formula.reduced_key()
+            assert result.dimension == single.dimension
+            assert result.detB_exponent == single.detB_exponent
+
+    def test_empty(self):
+        assert symmetrization_determinants([], jobs=2) == []
 
 
 class TestClosedForms:
