@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Stretch check: the two weight-9 rows with known determinant classes.
-Takes about 15 s on a 2-vCPU host; exits nonzero on mismatch."""
+Takes about 2 s on a 2-vCPU host; exits nonzero on mismatch."""
 
 import sys
 import time

@@ -8,13 +8,14 @@ with the engine and diffs against it.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .combinat import Partition, partitions_of
-from .exact import Poly, squarefree_part
+from .exact import Poly, SquareClassFormula, squarefree_part
 from .gram import gram_block, symmetrization_determinants
 from .refined import refined_decomposition
 
@@ -26,18 +27,12 @@ class SymRow:
     det_class: tuple[tuple[int, tuple[int, ...]], ...]  # (base, (k,...)) factors
 
     def reduced_key(self) -> tuple:
-        """Canonical (prime, k-set) form of the class, with composite
-        bases split into primes and exponents taken mod 2."""
-        from .exact import factorint
-
-        per_prime: dict[int, set[int]] = {}
+        """Key of the class, as :meth:`SquareClassFormula.reduced_key`."""
+        formula = SquareClassFormula.one()
         for base, ks in self.det_class:
-            for p, e in factorint(base).items():
-                if e % 2 == 0:
-                    continue
-                per_prime.setdefault(p, set()).symmetric_difference_update(ks)
-        primes = tuple(sorted((p, tuple(sorted(ks))) for p, ks in per_prime.items() if ks))
-        return primes, ()
+            exponent = Poly.from_binomials(Counter(ks))
+            formula = formula.times(SquareClassFormula.from_integer(base, exponent))
+        return formula.reduced_key()
 
 
 @dataclass(frozen=True)

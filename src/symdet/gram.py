@@ -34,7 +34,7 @@ from .exact import (
     bareiss_det,
     binomial_poly,
 )
-from .symmetrizer import column_sum, row_sum, word_of_tableau
+from .symmetrizer import column_classes, row_sum, word_of_tableau
 
 
 class NoTableauxError(ValueError):
@@ -62,22 +62,29 @@ class GramBlock:
 def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     """Exact Gram block of the symmetrized tableau basis for one pattern.
 
-    Entry (s,t) is <e u_s, e u_t> = |C| * <R u_s, e u_t> for tableau words
-    u, since e = C*R with R* = R, C* = C and C^2 = |C|*C; the determinant
-    comes from fraction-free elimination over the integers.
+    Entry (s,t) is <e u_s, e u_t> = |C| * <R u_s, C R u_t> for tableau
+    words u, since e = C*R with R* = R, C* = C and C^2 = |C|*C.  With
+    a = column_classes(R u) that is |C| * sum_key a_s[key] * a_t[key], so
+    no entry expands the column group; the determinant comes from
+    fraction-free elimination over the integers.
     """
     tableaux = ssyt_with_pattern(shape, pattern)
     if not tableaux:
         raise NoTableauxError(f"no tableaux for shape {shape} pattern {pattern}")
     frame = frame_of(shape)
-    orbits = [row_sum(shape, {word_of_tableau(frame, t): 1}) for t in tableaux]
-    images = [column_sum(shape, orbit) for orbit in orbits]
+    classes = [
+        column_classes(shape, row_sum(shape, {word_of_tableau(frame, t): 1}))
+        for t in tableaux
+    ]
     col_order = math.prod(math.factorial(len(col)) for col in frame.cols)
-    size = len(images)
+    size = len(classes)
     matrix = [[0] * size for _ in range(size)]
     for i in range(size):
-        for j, image in enumerate(images[i:], i):
-            v = col_order * sum(c * image.get(w, 0) for w, c in orbits[i].items())
+        for j in range(i, size):
+            a, b = classes[i], classes[j]
+            if len(b) < len(a):
+                a, b = b, a
+            v = col_order * sum(c * b.get(key, 0) for key, c in a.items())
             matrix[i][j] = v
             matrix[j][i] = v
     det = bareiss_det(matrix)

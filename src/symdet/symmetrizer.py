@@ -6,6 +6,16 @@ over its column group after the sum R over its row group; applying it
 to a word yields a signed integer combination of words with the same
 letter multiset.  One kernel, ``symmetrize``, implements it for every
 caller over plain ``dict[word, coeff]`` combinations.
+
+Neither half walks a whole group per word.  ``row_sum`` merges words by
+row-sorted form and lists each orbit as its distinct words, weighted by
+the order of the stabilizer.  ``column_classes`` merges words by
+column-sorted form, each times the sign of its sort, and drops a word
+with a repeated letter inside a column (C x = 0 for it).  C acts freely
+on the other words, so <x, C y> = sgn(x) sgn(y) when x and y share a
+column-sorted form and 0 otherwise; hence <R u, C R v> is the plain dot
+product of the class coefficients of R u and R v, which is how the Gram
+layer uses it.  ``column_sum`` expands each class once through C.
 """
 
 from __future__ import annotations
@@ -97,69 +107,116 @@ def _block_permutations(blocks: tuple[tuple[int, ...], ...], n: int):
 
 @lru_cache(maxsize=None)
 def _symmetrizer_tables(shape: Partition):
-    """Compiled permutation appliers for the row-major frame.
+    """Row segments and column readers of the row-major frame.
 
-    Returns (row segments, row getters, signed column getters, column
-    readers); a getter maps a word tuple to its image under one group
-    element, a reader returns the letters of one column of length >= 2.
-    Below n = 2 both groups are trivial and ``tuple`` is the identity.
+    A segment (a, b) spans the positions of one row; a reader
+    (positions, getter) returns the letters of one column of length >= 2.
     """
     frame = frame_of(shape)
-    n = shape.n
-    if n < 2:
-        return ((0, n),), (tuple,), ((tuple, 1),), ()
     segs = tuple((row[0], row[-1] + 1) for row in frame.rows)
-    rows = tuple(
-        itemgetter(*inv) for inv, _ in _block_permutations(frame.rows, n)
+    readers = tuple((col, itemgetter(*col)) for col in frame.cols if len(col) > 1)
+    return segs, readers
+
+
+@lru_cache(maxsize=None)
+def _column_group(shape: Partition):
+    """Signed getters of the column group; a getter maps a word to its image.
+
+    Only :func:`column_sum` builds these.  With no column of length >= 2
+    the group is trivial and ``tuple`` is the identity.
+    """
+    frame = frame_of(shape)
+    if all(len(col) < 2 for col in frame.cols):
+        return ((tuple, 1),)
+    return tuple(
+        (itemgetter(*inv), sign) for inv, sign in _block_permutations(frame.cols, shape.n)
     )
-    cols = tuple(
-        (itemgetter(*inv), sign) for inv, sign in _block_permutations(frame.cols, n)
-    )
-    readers = tuple((itemgetter(*c), len(c)) for c in frame.cols if len(c) > 1)
-    return segs, rows, cols, readers
+
+
+def _orderings(row: Word, memo: dict[Word, list[Word]]) -> list[Word]:
+    """Distinct orderings of the sorted letters ``row``, memoized in ``memo``."""
+    out = memo.get(row)
+    if out is None:
+        if len(set(row)) == len(row):
+            out = list(itertools.permutations(row))
+        else:
+            out = [
+                (x,) + tail
+                for i, x in enumerate(row)
+                if not i or x != row[i - 1]
+                for tail in _orderings(row[:i] + row[i + 1:], memo)
+            ]
+        memo[row] = out
+    return out
 
 
 def row_sum(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
     """R*x, the row-group orbit sum.
 
     Words in one row orbit have the same orbit sum, so terms are merged
-    by their row-sorted form first and each orbit is expanded once.
+    by their row-sorted form w first.  R*w is |Stab(w)| times the sum of
+    the distinct words of its orbit (one distinct ordering of each row, in
+    every combination), where |Stab(w)| is the product of m! over the
+    letter multiplicities m of each row.  Distinct orbits share no word.
     """
-    segs, rows, _, _ = _symmetrizer_tables(shape)
+    segs, _ = _symmetrizer_tables(shape)
     classes: dict[Word, Coeff] = {}
     for word, coeff in terms.items():
         key = tuple(x for a, b in segs for x in sorted(word[a:b]))
         classes[key] = classes.get(key, 0) + coeff
+    memo: dict[Word, list[Word]] = {}
     out: dict[Word, Coeff] = {}
-    for word, coeff in classes.items():
+    for key, coeff in classes.items():
         if not coeff:
             continue
-        for get in rows:
-            u = get(word)
-            out[u] = out.get(u, 0) + coeff
+        words: list[Word] = [()]
+        for a, b in segs:
+            orders = _orderings(key[a:b], memo)
+            coeff *= math.factorial(b - a) // len(orders)
+            words = [w + o for w in words for o in orders]
+        for w in words:
+            out[w] = coeff
     return out
 
 
-def column_sum(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
-    """C*x, the signed column-group sum.
+def column_classes(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
+    """Terms merged by column-sorted form, each times the sign of its sort.
 
-    A word with a repeated letter inside one column is fixed by an odd
-    transposition, so its signed sum is exactly 0 and it is skipped.
+    C acts freely on a word y with no repeated letter inside a column, so
+    <x, C y> = sgn(x) sgn(y) when x and y have the same column-sorted form
+    and 0 otherwise; C x = sgn(x) C key for the sorted form key of x.  A
+    word with a repeated letter inside a column has C x = 0 and no class.
     """
-    _, _, cols, readers = _symmetrizer_tables(shape)
-    out: dict[Word, Coeff] = {}
+    _, readers = _symmetrizer_tables(shape)
+    if not readers:  # C is trivial: each word is its own class
+        return {w: c for w, c in terms.items() if c}
+    classes: dict[Word, Coeff] = {}
     for word, coeff in terms.items():
-        for read, k in readers:
-            if len(set(read(word))) < k:
+        key = list(word)
+        for cols, read in readers:
+            col = read(word)
+            if len(set(col)) < len(col):
                 break
+            if sum(a > b for a, b in itertools.combinations(col, 2)) % 2:
+                coeff = -coeff
+            for p, x in zip(cols, sorted(col)):
+                key[p] = x
         else:
-            for get, sign in cols:
-                v = get(word)
-                c = out.get(v, 0) + sign * coeff
-                if c:
-                    out[v] = c
-                else:
-                    out.pop(v, None)
+            k = tuple(key)
+            classes[k] = classes.get(k, 0) + coeff
+    return {k: c for k, c in classes.items() if c}
+
+
+def column_sum(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
+    """C*x, the signed column-group sum: each class expanded once through C.
+
+    Distinct classes have disjoint free orbits, so no image repeats.
+    """
+    classes = column_classes(shape, terms)
+    out: dict[Word, Coeff] = {}
+    for get, sign in _column_group(shape):
+        for key, coeff in classes.items():
+            out[get(key)] = sign * coeff
     return out
 
 

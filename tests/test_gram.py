@@ -22,7 +22,12 @@ from symdet.gram import (
     symmetrization_determinant,
     symmetrization_determinants,
 )
-from symdet.symmetrizer import apply_symmetrizer, inner_product_reduced, word_of_tableau
+from symdet.symmetrizer import (
+    _column_group,
+    apply_symmetrizer,
+    inner_product_reduced,
+    word_of_tableau,
+)
 
 P = Partition
 
@@ -133,6 +138,16 @@ class TestAdjointIdentity:
                         tuple(inner_product_reduced(u, v) for v in images) for u in images
                     )
                     assert gram_block(shape, pattern).matrix == expected, (shape, pattern)
+
+
+class TestNoGroupExpansion:
+    @pytest.mark.parametrize("parts", [(8,), (1,) * 8])
+    def test_block_builds_no_group_getters(self, parts):
+        # (1^8) has a column group of order 8!; no block builds its getters
+        _column_group.cache_clear()
+        block = gram_block.__wrapped__(P(parts), (1,) * 8)
+        assert _column_group.cache_info().currsize == 0
+        assert block.det == hook_block_det(8, parts[0])
 
 
 def _pattern_of(content):

@@ -16,8 +16,11 @@ from symdet.symmetrizer import (
     SignedWordSum,
     apply_symmetrizer,
     apply_symmetrizer_to_sum,
+    column_classes,
+    column_sum,
     idempotent_scale,
     inner_product_reduced,
+    row_sum,
     symmetrize,
     word_of_tableau,
 )
@@ -165,56 +168,117 @@ def test_signed_word_sum_add_cancels():
     assert s.terms == {}
 
 
-def _naive_symmetrizer(shape, terms):
-    """Signed double sum over explicitly enumerated row and column permutations."""
-    frame = frame_of(shape)
+def _group(blocks, n):
+    """Every permutation fixing each block setwise, as a position map."""
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        perm = list(range(n))
+        for block, image in zip(blocks, images):
+            for src, dst in zip(block, image):
+                perm[src] = dst
+        yield perm
 
-    def group(blocks):
-        for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
-            perm = list(range(shape.n))
-            for block, image in zip(blocks, images):
-                for src, dst in zip(block, image):
-                    perm[src] = dst
-            yield perm
 
-    def act(perm, word):
-        out = [None] * len(word)
-        for i, letter in enumerate(word):
-            out[perm[i]] = letter
-        return tuple(out)
+def _act(perm, word):
+    out = [None] * len(word)
+    for i, letter in enumerate(word):
+        out[perm[i]] = letter
+    return tuple(out)
 
-    def sign(perm):
-        pairs = itertools.combinations(range(len(perm)), 2)
-        inversions = sum(1 for i, j in pairs if perm[i] > perm[j])
-        return -1 if inversions % 2 else 1
 
+def _sign(perm):
+    pairs = itertools.combinations(range(len(perm)), 2)
+    inversions = sum(1 for i, j in pairs if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def _naive_sum(blocks, terms, n, signed=False):
+    """Sum over every element g of the block group of (sign g) * g * terms."""
     out = {}
     for word, coeff in terms.items():
-        for r in group(frame.rows):
-            u = act(r, word)
-            for c in group(frame.cols):
-                v = act(c, u)
-                out[v] = out.get(v, 0) + sign(c) * coeff
+        for g in _group(blocks, n):
+            v = _act(g, word)
+            out[v] = out.get(v, 0) + (_sign(g) if signed else 1) * coeff
     return {w: c for w, c in out.items() if c}
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([p for n in range(2, 6) for p in partitions_of(n)]),
-    st.data(),
+def _naive_symmetrizer(shape, terms):
+    """Signed double sum over explicitly enumerated row and column permutations."""
+    frame = frame_of(shape)
+    return _naive_sum(frame.cols, _naive_sum(frame.rows, terms, shape.n), shape.n, signed=True)
+
+
+SHAPES = [p for n in range(2, 6) for p in partitions_of(n)]
+LETTERS = st.integers(min_value=-2, max_value=2).filter(bool)
+COEFFS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHAPES), st.data())
 def test_kernel_matches_naive_double_sum(shape, data):
-    letters = st.integers(min_value=-2, max_value=2).filter(bool)
-    coeffs = st.one_of(
-        st.integers(min_value=-3, max_value=3),
-        st.fractions(min_value=-2, max_value=2, max_denominator=4),
-    )
     terms = data.draw(
         st.dictionaries(
-            st.tuples(*[letters] * shape.n).filter(lambda w: len(set(w)) < len(w)),
-            coeffs,
+            st.tuples(*[LETTERS] * shape.n).filter(lambda w: len(set(w)) < len(w)),
+            COEFFS,
             min_size=1,
             max_size=3,
         )
     )
     assert symmetrize(shape, terms) == _naive_symmetrizer(shape, terms)
+
+
+def _draw_terms(data, shape):
+    return data.draw(
+        st.dictionaries(st.tuples(*[LETTERS] * shape.n), COEFFS, min_size=1, max_size=3)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHAPES), st.data())
+def test_row_sum_matches_sum_over_row_group(shape, data):
+    terms = _draw_terms(data, shape)
+    assert row_sum(shape, terms) == _naive_sum(frame_of(shape).rows, terms, shape.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHAPES), st.data())
+def test_column_classes_expand_to_signed_column_sum(shape, data):
+    terms = _draw_terms(data, shape)
+    cols = frame_of(shape).cols
+    expected = _naive_sum(cols, terms, shape.n, signed=True)
+    classes = column_classes(shape, terms)
+    assert _naive_sum(cols, classes, shape.n, signed=True) == expected
+    assert column_sum(shape, terms) == expected
+
+
+TALL = [p for p in SHAPES if len(p.parts) > 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TALL), st.data())
+def test_column_repeat_has_no_class(shape, data):
+    word = list(data.draw(st.tuples(*[LETTERS] * shape.n)))
+    col = data.draw(st.sampled_from([c for c in frame_of(shape).cols if len(c) > 1]))
+    i, j = data.draw(st.lists(st.sampled_from(col), min_size=2, max_size=2, unique=True))
+    word[j] = word[i]
+    assert column_classes(shape, {tuple(word): data.draw(COEFFS)}) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TALL), st.data())
+def test_class_carries_sign_of_sort(shape, data):
+    frame = frame_of(shape)
+    word = [None] * shape.n
+    key = [None] * shape.n
+    for col in frame.cols:
+        letters = data.draw(
+            st.lists(st.integers(-3, 3), min_size=len(col), max_size=len(col), unique=True)
+        )
+        for p, x, y in zip(col, letters, sorted(letters)):
+            word[p], key[p] = x, y
+    word, key = tuple(word), tuple(key)
+    (g,) = [g for g in _group(frame.cols, shape.n) if _act(g, key) == word]
+    coeff = data.draw(COEFFS.filter(bool))
+    assert column_classes(shape, {word: coeff}) == {key: _sign(g) * coeff}
