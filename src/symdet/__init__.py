@@ -11,6 +11,7 @@ coupling matrices and determinants.
 Main entry points
 -----------------
 - :func:`symdet.gram.symmetrization_determinant` / :func:`symdet.gram.symmetrization_determinants`
+- :func:`symdet.gram.determinant_classes` (reduced class and dimension only)
 - :func:`symdet.gram.gram_block`
 - :func:`symdet.gram.closed_form_c`
 - :func:`symdet.refined.refined_decomposition`
@@ -21,7 +22,7 @@ Main entry points
 
 from .combinat import Partition, compositions_of, dimension_poly, partitions_of
 from .exact import Poly, SquareClassFormula, interpolate, poly_factor_rational, squarefree_part
-from .gram import closed_form_c, gram_block, hook_block_det, symmetrization_determinant, symmetrization_determinants
+from .gram import closed_form_c, determinant_classes, gram_block, hook_block_det, symmetrization_determinant, symmetrization_determinants
 from .refined import constituent_gram, constituent_poly, phi_insert, pi_contract, refined_decomposition
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "compositions_of",
     "constituent_gram",
     "constituent_poly",
+    "determinant_classes",
     "dimension_poly",
     "gram_block",
     "hook_block_det",

@@ -17,7 +17,7 @@ import sys
 from .combinat import Partition, partitions_of
 from .exact import Poly
 from .golden import load_golden, verify_refined, verify_sym
-from .gram import symmetrization_determinant, symmetrization_determinants
+from .gram import determinant_classes, symmetrization_determinant
 from .refined import MAX_REFINED_N, refined_decomposition
 
 MAX_TABLE_N = 9
@@ -123,13 +123,13 @@ def cmd_sym(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     shapes = [shape for n in range(2, args.n + 1) for shape in partitions_of(n)]
     rows = []
-    for shape, result in zip(shapes, symmetrization_determinants(shapes, args.jobs)):
+    for shape, result in zip(shapes, determinant_classes(shapes, args.jobs)):
         rows.append({
             "n": shape.n,
             "partition": list(shape.parts),
             "dimension": _poly_json(result.dimension),
-            "c_reduced": result.c_reduced().to_json(),
-            "c_latex": result.c_reduced().render_latex(),
+            "c_reduced": result.c_reduced.to_json(),
+            "c_latex": result.c_reduced.render_latex(),
         })
     if args.format == "json":
         for row in rows:

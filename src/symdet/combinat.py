@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Poly, binomial_poly
+from .exact import Poly
 
 Pattern = tuple[int, ...]  # letter multiplicities in increasing letter order
 
@@ -176,37 +177,49 @@ def kostka(shape: Partition, pattern: Pattern) -> int:
     return len(ssyt_with_pattern(shape, pattern))
 
 
+def dominates(shape: Partition, pattern: Pattern) -> bool:
+    """Whether ``shape`` dominates the sorted ``pattern`` of the same weight.
+
+    That holds exactly when some semistandard tableau of ``shape`` has
+    content ``pattern``, i.e. when the Kostka number is positive.
+    """
+    parts = sorted(pattern, reverse=True)
+    top = bottom = 0
+    for i, part in enumerate(parts):
+        top += shape[i] if i < len(shape) else 0
+        bottom += part
+        if top < bottom:
+            return False
+    return True
+
+
+def _content_and_hook(shape: Partition):
+    """(column - row, hook length) of every box, row by row."""
+    conj = shape.conjugate()
+    for r, p in enumerate(shape.parts):
+        for c in range(p):
+            yield c - r, (p - c) + (conj[c] - r) - 1
+
+
 @lru_cache(maxsize=None)
 def dimension_poly(shape: Partition) -> Poly:
     """Number of semistandard tableaux with entries <= N, as a polynomial.
 
-    Counted pattern by pattern: contents using k distinct letters come
-    in C(N,k) relabelings, so the total is
-    sum_k (sum over length-k patterns of the filling count) * C(N,k).
+    Hook-content formula: the product over boxes of (N + content) / hook.
     """
-    n = shape.n
-    if n == 0:
-        return Poly.const(1)
-    out = Poly()
-    for pattern in compositions_of(n):
-        count = kostka(shape, pattern)
-        if count:
-            out = out + binomial_poly(len(pattern)) * count
-    return out
+    out = Poly.const(1)
+    hooks = 1
+    for content, hook in _content_and_hook(shape):
+        out = out * Poly((content, 1))
+        hooks *= hook
+    return out * Fraction(1, hooks)
 
 
 @lru_cache(maxsize=None)
 def standard_tableau_count(shape: Partition) -> int:
     """Number of standard fillings, by the hook length formula."""
-    n = shape.n
-    if n == 0:
-        return 1
-    conj = shape.conjugate()
-    hooks = 1
-    for r, p in enumerate(shape.parts):
-        for c in range(p):
-            hooks *= (p - c) + (conj[c] - r) - 1
-    return math.factorial(n) // hooks
+    hooks = math.prod(hook for _, hook in _content_and_hook(shape))
+    return math.factorial(shape.n) // hooks
 
 
 def enumerate_ssyt(shape: Partition, max_letter: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -26,10 +26,15 @@ class DegreeBoundError(ValueError):
 # integer factorization
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases 2..41 is deterministic below this bound
+# (psi_13, Sorenson-Webster); bases 2..37 alone fail at psi_12 =
+# 318665857834031151167461.
+_MR_BOUND = 3317044064679887385961981
 
 
-def _is_probable_prime(n: int) -> bool:
+def _is_prime(n: int) -> bool:
+    """Deterministic primality; raises above the proven Miller-Rabin bound."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -39,8 +44,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # deterministic Miller-Rabin witnesses for n < 3.3e24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -50,6 +54,8 @@ def _is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise ArithmeticError(f"cannot certify {n} as prime: beyond the deterministic bound")
     return True
 
 
@@ -78,7 +84,7 @@ def factorint(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p = 41
+    p = 43
     while p * p <= n and p < 100_000:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -90,7 +96,7 @@ def factorint(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_probable_prime(m):
+        if _is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)

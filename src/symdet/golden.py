@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .combinat import Partition, partitions_of
 from .exact import Poly, SquareClassFormula, squarefree_part
-from .gram import gram_block, symmetrization_determinants
+from .gram import determinant_classes, gram_block
 from .refined import refined_decomposition
 
 
@@ -129,7 +129,7 @@ def verify_sym(golden: GoldenTables, jobs: int = 1) -> VerifyReport:
     """Recompute every table row and worked matrix; diff against golden."""
     mismatches = []
     checked = 0
-    results = symmetrization_determinants([row.partition for row in golden.sym_rows], jobs)
+    results = determinant_classes([row.partition for row in golden.sym_rows], jobs)
     for row, result in zip(golden.sym_rows, results):
         checked += 1
         if result.dimension != row.dimension:
@@ -138,7 +138,7 @@ def verify_sym(golden: GoldenTables, jobs: int = 1) -> VerifyReport:
                 f"got {result.dimension.factored_str()}"
             )
         expected = row.reduced_key()
-        got = result.c_formula.reduced_key()
+        got = result.c_reduced.reduced_key()
         if expected != got:
             mismatches.append(
                 f"sym {row.partition}: class expected {_key_str(expected)}, got {_key_str(got)}"

@@ -7,12 +7,23 @@ letters occurs once per k-subset of {1..N}, i.e. with multiplicity
 C(N,k).  The determinant class of the whole form is therefore the
 product over patterns of det(block)^C(N,k), times det(B) raised to the
 exact exponent dim * n / N.
+
+Rearranging a pattern changes its block determinant only by a rational
+square: a permutation sigma of the orthonormal basis letters is an
+isometry of V^(x)n that commutes with the symmetrizer e and maps the mu
+weight space of e V^(x)n onto the sigma(mu) one, and both weight spaces
+have the tableau images as rational bases.  The class modulo squares
+therefore needs one block per content orbit (:func:`determinant_classes`);
+:func:`symmetrization_determinants` builds every block for the exact
+product.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,8 +34,9 @@ from .combinat import (
     Pattern,
     compositions_of,
     dimension_poly,
+    dominates,
     frame_of,
-    kostka,
+    partitions_of,
     ssyt_with_pattern,
 )
 from .exact import (
@@ -108,20 +120,41 @@ class SymDetResult:
         return out
 
 
+@dataclass(frozen=True)
+class DetClass:
+    """Determinant class modulo squares and dimension of one shape."""
+
+    shape: Partition
+    c_reduced: SquareClassFormula
+    dimension: Poly
+
+
 def patterns_of(shape: Partition) -> list[Pattern]:
     """Patterns with at least one tableau, in the deterministic order."""
-    return [p for p in compositions_of(shape.n) if kostka(shape, p) > 0]
+    return [p for p in compositions_of(shape.n) if dominates(shape, p)]
 
 
-def symmetrization_determinants(shapes: list[Partition], jobs: int = 1) -> list[SymDetResult]:
-    """Every Gram block and the determinant formula of each shape, in input order.
+def content_orbits(shape: Partition) -> dict[Pattern, int]:
+    """Non-increasing patterns with a tableau, each with its number of rearrangements."""
+    return {
+        mu.parts: math.factorial(len(mu))
+        // math.prod(math.factorial(m) for m in Counter(mu.parts).values())
+        for mu in partitions_of(shape.n)
+        if dominates(shape, mu.parts)
+    }
+
+
+def _blocks_by_shape(
+    shapes: list[Partition], patterns: Callable[[Partition], Iterable[Pattern]], jobs: int
+) -> dict[Partition, list[GramBlock]]:
+    """``gram_block`` of each distinct shape with each of ``patterns(shape)``.
 
     All blocks go to one pool of min(jobs, cores, blocks) workers, or run
-    serially when that is 1; each shape is reduced in fixed pattern order.
+    serially when that is 1; each shape keeps its patterns' order.
     """
     if any(shape.n < 1 for shape in shapes):
         raise ValueError("need a partition of n >= 1")
-    tasks = [(s, p) for s in dict.fromkeys(shapes) for p in patterns_of(s)]
+    tasks = [(s, p) for s in dict.fromkeys(shapes) for p in patterns(s)]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         chunksize = max(1, len(tasks) // (16 * workers))
@@ -129,21 +162,53 @@ def symmetrization_determinants(shapes: list[Partition], jobs: int = 1) -> list[
             blocks = list(pool.map(gram_block, *zip(*tasks), chunksize=chunksize))
     else:
         blocks = [gram_block(s, p) for s, p in tasks]
+    return {shape: list(own) for shape, own in groupby(blocks, key=lambda b: b.shape)}
+
+
+def _det_product(
+    blocks: list[GramBlock], times: Callable[[Pattern], int] = lambda pattern: 1
+) -> SquareClassFormula:
+    """Product of det(block)^(times(pattern) * C(N,k)) over the blocks."""
+    out = SquareClassFormula.one()
+    for b in blocks:
+        exponent = binomial_poly(b.k) * times(b.pattern)
+        out = out.times(SquareClassFormula.from_integer(b.det, exponent))
+    return out
+
+
+def symmetrization_determinants(shapes: list[Partition], jobs: int = 1) -> list[SymDetResult]:
+    """Every Gram block and the exact determinant formula of each shape, in input order."""
     results = {}
-    for shape, own in groupby(blocks, key=lambda b: b.shape):
-        block_map = {b.pattern: b for b in own}
-        c_formula = SquareClassFormula.one()
-        for b in block_map.values():
-            c_formula = c_formula.times(SquareClassFormula.from_integer(b.det, binomial_poly(b.k)))
+    for shape, blocks in _blocks_by_shape(shapes, patterns_of, jobs).items():
         dim = dimension_poly(shape)
         detb = (dim * shape.n).divexact(POLY_N)
-        results[shape] = SymDetResult(shape, block_map, c_formula, dim, detb)
+        block_map = {b.pattern: b for b in blocks}
+        results[shape] = SymDetResult(shape, block_map, _det_product(blocks), dim, detb)
     return [results[shape] for shape in shapes]
 
 
 def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
     """One shape through :func:`symmetrization_determinants`."""
     return symmetrization_determinants([shape], jobs)[0]
+
+
+def determinant_classes(shapes: list[Partition], jobs: int = 1) -> list[DetClass]:
+    """Reduced determinant class and dimension of each shape, in input order.
+
+    Builds one Gram block per content orbit.  A permutation sigma of the
+    basis letters is an isometry that commutes with e and maps the mu
+    weight space of the image onto the sigma(mu) one; both have the
+    tableau images as rational bases.  So every rearrangement of mu has
+    the block determinant of mu up to a nonzero rational square, and the
+    same C(N, len mu).  The class is therefore the reduction of
+    prod det(block_mu)^(r(mu) * C(N, len mu)) over the non-increasing
+    patterns mu with a tableau, where r(mu) counts their rearrangements.
+    """
+    results = {}
+    for shape, blocks in _blocks_by_shape(shapes, content_orbits, jobs).items():
+        c_reduced = _det_product(blocks, content_orbits(shape).__getitem__).reduced()
+        results[shape] = DetClass(shape, c_reduced, dimension_poly(shape))
+    return [results[shape] for shape in shapes]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from symdet.cli import main, parse_partition
 from symdet.combinat import Partition, partitions_of
-from symdet.gram import patterns_of
+from symdet.gram import content_orbits, gram_block
 
 
 def run(capsys, *argv):
@@ -100,6 +100,20 @@ class TestTableCommand:
             main(["table", "--n", "10"])
         assert exc.value.code == 2
 
+    def test_one_block_per_content_orbit(self, capsys):
+        gram_block.cache_clear()
+        code, _ = run(capsys, "--jobs", "1", "--format", "json", "table", "--n", "7")
+        assert code == 0
+        assert gram_block.cache_info().currsize == 232
+        # every non-increasing orbit pattern is a hit, so these are the 232 keys
+        misses = gram_block.cache_info().misses
+        orbits = [(s, mu) for n in range(2, 8) for s in partitions_of(n) for mu in content_orbits(s)]
+        assert len(orbits) == 232
+        for shape, mu in orbits:
+            assert list(mu) == sorted(mu, reverse=True)
+            gram_block(shape, mu)
+        assert gram_block.cache_info().misses == misses
+
 
 class TestRefinedCommand:
     def test_text_two_one(self, capsys):
@@ -193,7 +207,7 @@ class TestWorkerPool:
     @pytest.mark.parametrize("cores", [3, 10**6])
     def test_huge_jobs_is_clamped(self, capsys, monkeypatch, fake_pool, cores):
         monkeypatch.setattr("os.cpu_count", lambda: cores)
-        blocks = sum(len(patterns_of(s)) for n in (2, 3, 4) for s in partitions_of(n))
+        blocks = sum(len(content_orbits(s)) for n in (2, 3, 4) for s in partitions_of(n))
         _, clamped = run(capsys, "--jobs", "1000000", "--format", "json", "table", "--n", "4")
         assert fake_pool == [min(cores, blocks)]
         _, serial = run(capsys, "--jobs", "1", "--format", "json", "table", "--n", "4")

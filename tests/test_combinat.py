@@ -8,6 +8,7 @@ from symdet.combinat import (
     Partition,
     compositions_of,
     dimension_poly,
+    dominates,
     enumerate_ssyt,
     frame_of,
     kostka,
@@ -80,6 +81,13 @@ class TestSSYT:
                     for c in range(len(tab[0])):
                         col = [row[c] for row in tab if c < len(row)]
                         assert all(col[i] < col[i + 1] for i in range(len(col) - 1))
+
+    def test_dominance_decides_tableau_existence(self):
+        for n in range(1, 9):
+            for shape in partitions_of(n):
+                for pattern in compositions_of(n):
+                    has_tableau = kostka(shape, pattern) > 0
+                    assert dominates(shape, pattern) == has_tableau, (shape, pattern)
 
     def test_kostka_reorder_invariance(self):
         for shape in partitions_of(4):

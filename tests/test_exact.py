@@ -61,6 +61,15 @@ class TestSquarefreePart:
         fact = factorint(n)
         assert set(fact) == {2, 3, 5, 7}
 
+    def test_strong_pseudoprime_to_bases_up_to_37_splits(self):
+        # psi_12 passes Miller-Rabin for every base 2..37; base 41 exposes it
+        assert factorint(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+        assert squarefree_part(318665857834031151167461 * 399165290221)[0] == 798330580441
+
+    def test_prime_beyond_the_deterministic_bound_raises(self):
+        with pytest.raises(ArithmeticError, match=str(2**89 - 1)):
+            factorint(2**89 - 1)
+
 
 class TestPoly:
     def test_evaluation_exact(self):

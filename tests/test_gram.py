@@ -12,10 +12,12 @@ from symdet.combinat import (
     partitions_of,
     ssyt_with_pattern,
 )
-from symdet.exact import POLY_N, Poly
+from symdet.exact import POLY_N, Poly, squarefree_part
 from symdet.gram import (
     NoTableauxError,
     closed_form_c,
+    content_orbits,
+    determinant_classes,
     gram_block,
     hook_block_det,
     patterns_of,
@@ -184,16 +186,16 @@ class TestSymmetrizationDeterminant:
                     assert block.det > 0
 
     def test_size_consistency(self):
-        # sum over patterns of size * C(N,k) equals the dimension
-        for n in range(2, 7):
+        # sum over compositions of Kostka number * C(N,k) equals the
+        # hook-content dimension, and patterns_of keeps every nonzero term
+        for n in range(2, 9):
             for shape in partitions_of(n):
                 dim = dimension_poly(shape)
+                nonzero = [pat for pat in compositions_of(n) if kostka(shape, pat)]
+                assert patterns_of(shape) == nonzero, shape
                 for N in range(n, n + 4):
-                    total = sum(
-                        kostka(shape, pat) * math.comb(N, len(pat))
-                        for pat in patterns_of(shape)
-                    )
-                    assert total == dim(N)
+                    total = sum(kostka(shape, pat) * math.comb(N, len(pat)) for pat in nonzero)
+                    assert total == dim(N), (shape, N)
 
     def test_parallel_matches_serial(self):
         serial = symmetrization_determinant(P((3, 2)), jobs=1)
@@ -222,6 +224,39 @@ class TestBatch:
 
     def test_empty(self):
         assert symmetrization_determinants([], jobs=2) == []
+
+
+class TestDeterminantClasses:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_the_all_block_product(self, jobs):
+        shapes = [s for n in range(2, 8) for s in partitions_of(n)]
+        shapes += [P((4, 4)), P((3, 3, 2)), P((2,) + (1,) * 6)]
+        results = determinant_classes(shapes, jobs=jobs)
+        assert [r.shape for r in results] == shapes
+        for shape, result in zip(shapes, results):
+            full = symmetrization_determinant(shape)
+            assert result.c_reduced.reduced_key() == full.c_formula.reduced_key(), shape
+            assert result.c_reduced.to_json() == full.c_reduced().to_json(), shape
+            assert result.dimension == full.dimension, shape
+
+    def test_rearranged_patterns_agree_modulo_squares(self):
+        for n in range(2, 7):
+            for shape in partitions_of(n):
+                orbits = content_orbits(shape)
+                members = {mu: [] for mu in orbits}
+                for pattern in patterns_of(shape):
+                    members[tuple(sorted(pattern, reverse=True))].append(pattern)
+                for mu, rearrangements in orbits.items():
+                    assert len(members[mu]) == rearrangements, (shape, mu)
+                    expected = squarefree_part(gram_block(shape, mu).det)[0]
+                    for pattern in members[mu]:
+                        got = squarefree_part(gram_block(shape, pattern).det)[0]
+                        assert got == expected, (shape, pattern)
+
+    def test_empty_and_invalid(self):
+        assert determinant_classes([], jobs=2) == []
+        with pytest.raises(ValueError):
+            determinant_classes([P(())])
 
 
 class TestClosedForms:
