@@ -21,11 +21,12 @@ Main entry points
 """
 
 from .combinat import Partition, compositions_of, dimension_poly, partitions_of
-from .exact import Poly, SquareClassFormula, interpolate, poly_factor_rational, squarefree_part
+from .exact import Binomials, Poly, SquareClassFormula, interpolate, poly_factor_rational, squarefree_part
 from .gram import closed_form_c, determinant_classes, gram_block, hook_block_det, symmetrization_determinant, symmetrization_determinants
 from .refined import constituent_gram, constituent_poly, phi_insert, pi_contract, refined_decomposition
 
 __all__ = [
+    "Binomials",
     "Partition",
     "Poly",
     "SquareClassFormula",

@@ -227,12 +227,11 @@ def cmd_refined(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    golden = load_golden(args.golden)
     reports = []
     if args.scope in ("sym", "all"):
-        reports.append(("sym", verify_sym(golden, jobs=args.jobs)))
+        reports.append(("sym", verify_sym(args.golden_tables, jobs=args.jobs)))
     if args.scope in ("refined", "all"):
-        reports.append(("refined", verify_refined(golden)))
+        reports.append(("refined", verify_refined(args.golden_tables)))
     failed = False
     for name, report in reports:
         status = "OK" if report.ok else "FAIL"
@@ -309,6 +308,10 @@ def main(argv: list[str] | None = None) -> int:
             )
         return cmd_refined(args)
     if args.command == "verify":
+        try:
+            args.golden_tables = load_golden(args.golden)
+        except (OSError, ValueError, KeyError) as exc:
+            parser.error(f"bad golden file {args.golden}: {type(exc).__name__}: {exc}")
         return cmd_verify(args)
     raise AssertionError("unreachable")
 

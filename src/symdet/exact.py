@@ -3,8 +3,9 @@
 Everything downstream works over plain Python integers and
 :class:`fractions.Fraction` (both are arbitrary precision), univariate
 polynomials in the formal dimension variable ``N``, and multiplicative
-formulas taken modulo nonzero rational squares.  Nothing in this module
-is ever approximate.
+formulas taken modulo nonzero rational squares, whose exponents are
+integer combinations of C(N,k).  Nothing in this module is ever
+approximate.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from itertools import zip_longest
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
@@ -155,10 +156,6 @@ class Poly:
     def const(c: Rat) -> "Poly":
         return Poly((c,))
 
-    @staticmethod
-    def x() -> "Poly":
-        return Poly((0, 1))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
@@ -275,27 +272,6 @@ class Poly:
             return self
         return Poly(tuple(x / c for x in self.coeffs))
 
-    def newton_coeffs(self) -> list[Fraction]:
-        """Coefficients of this polynomial in the binomial basis C(N,k).
-
-        ``p = sum_k a_k * C(N,k)`` with ``a_k`` the k-th forward
-        difference of p at 0.  Integer-valued polynomials have integer
-        a_k.
-        """
-        vals = [self(i) for i in range(len(self.coeffs) or 1)]
-        out = []
-        while vals:
-            out.append(vals[0])
-            vals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-        return out
-
-    @staticmethod
-    def from_binomials(combo: Mapping[int, Rat]) -> "Poly":
-        out = Poly()
-        for k, a in combo.items():
-            out = out + binomial_poly(k) * a
-        return out
-
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -362,17 +338,6 @@ def _frac_str(f: Fraction) -> str:
 
 
 POLY_N = Poly((0, 1))
-
-
-@lru_cache(maxsize=None)
-def binomial_poly(k: int) -> Poly:
-    """The binomial coefficient C(N,k) as a polynomial in N."""
-    if k < 0:
-        return Poly()
-    out = Poly.const(Fraction(1, math.factorial(k)))
-    for i in range(k):
-        out = out * Poly((-i, 1))
-    return out
 
 
 def poly_factor_rational(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Poly]:
@@ -559,8 +524,54 @@ def poly_matrix_det(matrix: list[list[Poly]]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _poly_key(p: Poly) -> tuple[Fraction, ...]:
-    return p.coeffs
+@dataclass(frozen=True)
+class Binomials:
+    """Integer combination ``sum_k a_k * C(N,k)``, the exponent of a class factor.
+
+    Coefficients are stored ascending by k with trailing zeros stripped,
+    so equal combinations compare equal and the zero combination is
+    falsy.  Reduction modulo squares is ``mod2`` on every coefficient.
+    """
+
+    coeffs: tuple[int, ...] = ()
+
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    @staticmethod
+    def unit(k: int) -> "Binomials":
+        """C(N,k) itself."""
+        return Binomials((0,) * k + (1,))
+
+    @staticmethod
+    def of(p: Poly) -> "Binomials":
+        """An integer-valued polynomial in the binomial basis (forward differences at 0)."""
+        vals = [p(i) for i in range(len(p.coeffs))]
+        out = []
+        while vals:
+            out.append(vals[0])
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        if any(a.denominator != 1 for a in out):
+            raise ValueError(f"exponent {p} is not integer-valued")
+        return Binomials(a.numerator for a in out)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other: "Binomials") -> "Binomials":
+        return Binomials(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
+
+    def __mul__(self, c: int) -> "Binomials":
+        return Binomials(a * c for a in self.coeffs)
+
+    def __call__(self, n: int) -> int:
+        return sum(a * math.comb(n, k) for k, a in enumerate(self.coeffs))
+
+    def mod2(self) -> "Binomials":
+        return Binomials(a % 2 for a in self.coeffs)
 
 
 @dataclass
@@ -569,14 +580,16 @@ class SquareClassFormula:
 
     Integer bases are primes; polynomial bases are primitive integer
     polynomials without rational roots beyond themselves (linear in
-    everything this engine produces).  Exponents are integer-valued
-    polynomials in N.  The ``unreduced`` flag marks formulas whose
-    polynomial part could not be split into linear factors, in which
-    case no square-class reduction was attempted on it.
+    everything this engine produces), keyed by their coefficient tuple.
+    Factor exponents are integer combinations of C(N,k)
+    (:class:`Binomials`); the det(B) exponent is a polynomial in N.  The
+    ``unreduced`` flag marks formulas whose polynomial part could not be
+    split into linear factors, in which case no square-class reduction
+    was attempted on it.
     """
 
-    prime_factors: dict[int, Poly] = field(default_factory=dict)
-    poly_factors: dict[tuple[Fraction, ...], Poly] = field(default_factory=dict)
+    prime_factors: dict[int, Binomials] = field(default_factory=dict)
+    poly_factors: dict[tuple[Fraction, ...], Binomials] = field(default_factory=dict)
     detB_exponent: Poly = field(default_factory=Poly)
     unreduced: bool = False
 
@@ -587,7 +600,7 @@ class SquareClassFormula:
         return SquareClassFormula()
 
     @staticmethod
-    def from_integer(value: Rat, exponent: Poly) -> "SquareClassFormula":
+    def from_integer(value: Rat, exponent: Binomials) -> "SquareClassFormula":
         """value^exponent as a formula (value factored into primes)."""
         value = Fraction(value)
         if value <= 0:
@@ -601,17 +614,17 @@ class SquareClassFormula:
             out._add_prime(p, exponent * (-e))
         return out
 
-    def _add_prime(self, p: int, expo: Poly) -> None:
-        cur = self.prime_factors.get(p, Poly()) + expo
-        if cur.is_zero():
+    def _add_prime(self, p: int, expo: Binomials) -> None:
+        cur = self.prime_factors.get(p, Binomials()) + expo
+        if not cur:
             self.prime_factors.pop(p, None)
         else:
             self.prime_factors[p] = cur
 
-    def _add_poly(self, base: Poly, expo: Poly) -> None:
-        key = _poly_key(base)
-        cur = self.poly_factors.get(key, Poly()) + expo
-        if cur.is_zero():
+    def _add_poly(self, base: Poly, expo: Binomials) -> None:
+        key = base.coeffs
+        cur = self.poly_factors.get(key, Binomials()) + expo
+        if not cur:
             self.poly_factors.pop(key, None)
         else:
             self.poly_factors[key] = cur
@@ -627,7 +640,7 @@ class SquareClassFormula:
         out.unreduced = out.unreduced or other.unreduced
         return out
 
-    def with_poly_value(self, value: Poly, exponent: Poly) -> "SquareClassFormula":
+    def with_poly_value(self, value: Poly, exponent: Binomials) -> "SquareClassFormula":
         """Multiply by value(N)^exponent, splitting value into factors.
 
         The content goes in through the prime table; linear factors
@@ -663,45 +676,41 @@ class SquareClassFormula:
     def reduced(self) -> "SquareClassFormula":
         """Canonical square-class form.
 
-        Every factor exponent is rewritten in the binomial basis C(N,k)
-        and its integer coefficients are reduced mod 2 to {0,1}.  The
-        det(B) exponent is exact bookkeeping and is left untouched.
+        Every binomial coefficient of every factor exponent is reduced
+        mod 2 to {0,1}.  The det(B) exponent is exact bookkeeping and is
+        left untouched.
         """
-        out = SquareClassFormula(detB_exponent=self.detB_exponent, unreduced=self.unreduced)
-        for p, e in self.prime_factors.items():
-            r = _reduce_exponent(e)
-            if not r.is_zero():
-                out.prime_factors[p] = r
-        for key, e in self.poly_factors.items():
-            r = _reduce_exponent(e)
-            if not r.is_zero():
-                out.poly_factors[key] = r
-        return out
+        return SquareClassFormula(
+            {p: r for p, e in self.prime_factors.items() if (r := e.mod2())},
+            {key: r for key, e in self.poly_factors.items() if (r := e.mod2())},
+            self.detB_exponent,
+            self.unreduced,
+        )
 
     def reduced_key(self) -> tuple:
         """Hashable canonical form used for golden-table comparison."""
         r = self.reduced()
-        primes = tuple(sorted((p, _binomial_ks(e)) for p, e in r.prime_factors.items()))
-        polys = tuple(sorted((key, _binomial_ks(e)) for key, e in r.poly_factors.items()))
+
+        def ks(e: Binomials) -> tuple[int, ...]:
+            return tuple(k for k, a in enumerate(e.coeffs) if a)
+
+        primes = tuple(sorted((p, ks(e)) for p, e in r.prime_factors.items()))
+        polys = tuple(sorted((key, ks(e)) for key, e in r.poly_factors.items()))
         return primes, polys
 
     def evaluate_class(self, n_value: int) -> int:
         """Squarefree representative at a concrete N (det(B) excluded)."""
         acc = Fraction(1)
         for p, e in self.prime_factors.items():
-            if int(e(n_value)) % 2:
+            if e(n_value) % 2:
                 acc *= p
         for key, e in self.poly_factors.items():
-            if int(e(n_value)) % 2:
+            if e(n_value) % 2:
                 v = Poly(key)(n_value)
                 if v == 0:
                     raise ZeroDivisionError("formula degenerates at this N")
                 acc *= v
         return squarefree_part(acc)[0]
-
-    def is_square(self) -> bool:
-        r = self.reduced()
-        return not r.prime_factors and not r.poly_factors
 
     # -- display ------------------------------------------------------------
 
@@ -720,9 +729,10 @@ class SquareClassFormula:
     def render_latex(self) -> str:
         parts = []
         for p in sorted(self.prime_factors):
-            parts.append(f"{p}^{{{_exponent_latex(self.prime_factors[p])}}}")
+            parts.append(f"{p}^{{{_exponent_str(self.prime_factors[p], _LATEX_BINOM, '')}}}")
         for key in sorted(self.poly_factors):
-            parts.append(f"({Poly(key)})^{{{_exponent_latex(self.poly_factors[key])}}}")
+            es = _exponent_str(self.poly_factors[key], _LATEX_BINOM, "")
+            parts.append(f"({Poly(key)})^{{{es}}}")
         if not self.detB_exponent.is_zero():
             parts.append(f"\\det(B)^{{{self.detB_exponent}}}")
         return " ".join(parts) if parts else "1"
@@ -747,40 +757,24 @@ class SquareClassFormula:
         }
 
 
-def _reduce_exponent(e: Poly) -> Poly:
-    combo = {}
-    for k, a in enumerate(e.newton_coeffs()):
-        if a.denominator != 1:
-            raise ValueError(f"exponent {e} is not integer-valued")
-        if a.numerator % 2:
-            combo[k] = 1
-    return Poly.from_binomials(combo)
+_LATEX_BINOM = "\\binom{{N}}{{{}}}"
 
 
-def _binomial_ks(e: Poly) -> tuple[int, ...]:
-    return tuple(k for k, a in enumerate(e.newton_coeffs()) if a % 2)
-
-
-def _exponent_str(e: Poly) -> str:
-    """Exponent in C(N,k) notation when that is natural, else raw."""
-    combo = e.newton_coeffs()
-    if any(a.denominator != 1 for a in combo):
-        return str(e)
+def _exponent_str(e: Binomials, binom: str = "C(N,{})", sep: str = "*") -> str:
+    """``sum a_k * C(N,k)`` with C(N,1) written N; ``binom`` formats C(N,k) for k >= 2."""
     terms = []
-    for k, a in enumerate(combo):
-        a = a.numerator
+    for k, a in enumerate(e.coeffs):
         if a == 0:
             continue
         if k == 0:
             terms.append(str(a))
-        elif k == 1:
-            terms.append("N" if a == 1 else f"{a}*N")
-        else:
-            terms.append(f"C(N,{k})" if a == 1 else f"{a}*C(N,{k})")
+            continue
+        symbol = "N" if k == 1 else binom.format(k)
+        terms.append(symbol if a == 1 else f"{a}{sep}{symbol}")
     return "+".join(terms) if terms else "0"
 
 
-def _render_power(base: str, e: Poly) -> str:
+def _render_power(base: str, e: Binomials) -> str:
     es = _exponent_str(e)
     if es == "1":
         return base
@@ -789,24 +783,5 @@ def _render_power(base: str, e: Poly) -> str:
     return f"{base}^{es}"
 
 
-def _exponent_latex(e: Poly) -> str:
-    combo = e.newton_coeffs()
-    if any(a.denominator != 1 for a in combo):
-        return str(e)
-    terms = []
-    for k, a in enumerate(combo):
-        a = a.numerator
-        if a == 0:
-            continue
-        if k == 0:
-            terms.append(str(a))
-        elif k == 1:
-            terms.append("N" if a == 1 else f"{a}N")
-        else:
-            bin_ = f"\\binom{{N}}{{{k}}}"
-            terms.append(bin_ if a == 1 else f"{a}{bin_}")
-    return "+".join(terms) if terms else "0"
-
-
-def _binomial_combo_json(e: Poly) -> dict[str, str]:
-    return {str(k): str(a) for k, a in enumerate(e.newton_coeffs()) if a != 0}
+def _binomial_combo_json(e: Binomials) -> dict[str, str]:
+    return {str(k): str(a) for k, a in enumerate(e.coeffs) if a}

@@ -8,14 +8,13 @@ with the engine and diffs against it.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .combinat import Partition, partitions_of
-from .exact import Poly, SquareClassFormula, squarefree_part
+from .exact import Binomials, Poly, SquareClassFormula, squarefree_part
 from .gram import determinant_classes, gram_block
 from .refined import refined_decomposition
 
@@ -30,7 +29,7 @@ class SymRow:
         """Key of the class, as :meth:`SquareClassFormula.reduced_key`."""
         formula = SquareClassFormula.one()
         for base, ks in self.det_class:
-            exponent = Poly.from_binomials(Counter(ks))
+            exponent = sum((Binomials.unit(k) for k in ks), Binomials())
             formula = formula.times(SquareClassFormula.from_integer(base, exponent))
         return formula.reduced_key()
 

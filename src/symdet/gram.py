@@ -39,13 +39,7 @@ from .combinat import (
     partitions_of,
     ssyt_with_pattern,
 )
-from .exact import (
-    POLY_N,
-    Poly,
-    SquareClassFormula,
-    bareiss_det,
-    binomial_poly,
-)
+from .exact import POLY_N, Binomials, Poly, SquareClassFormula, bareiss_det
 from .symmetrizer import column_classes, row_sum, word_of_tableau
 
 
@@ -114,11 +108,6 @@ class SymDetResult:
     def c_reduced(self) -> SquareClassFormula:
         return self.c_formula.reduced()
 
-    def full_formula(self) -> SquareClassFormula:
-        out = self.c_formula.copy()
-        out.detB_exponent = self.detB_exponent
-        return out
-
 
 @dataclass(frozen=True)
 class DetClass:
@@ -171,7 +160,7 @@ def _det_product(
     """Product of det(block)^(times(pattern) * C(N,k)) over the blocks."""
     out = SquareClassFormula.one()
     for b in blocks:
-        exponent = binomial_poly(b.k) * times(b.pattern)
+        exponent = Binomials.unit(b.k) * times(b.pattern)
         out = out.times(SquareClassFormula.from_integer(b.det, exponent))
     return out
 
@@ -227,7 +216,7 @@ def closed_form_c(shape: Partition) -> SquareClassFormula | None:
     if len(parts) == 1:
         return _closed_row(n)
     if all(p == 1 for p in parts):
-        return SquareClassFormula.from_integer(math.factorial(n), binomial_poly(n))
+        return SquareClassFormula.from_integer(math.factorial(n), Binomials.unit(n))
     if parts[0] == 2 and all(p == 1 for p in parts[1:]):
         return _closed_two_hook(n)
     if parts[0] == 3 and all(p == 1 for p in parts[1:]):
@@ -243,15 +232,15 @@ def _closed_row(n: int) -> SquareClassFormula:
         for x in comp:
             coeff //= math.factorial(x)
         out = out.times(
-            SquareClassFormula.from_integer(coeff, binomial_poly(len(comp)))
+            SquareClassFormula.from_integer(coeff, Binomials.unit(len(comp)))
         )
     return out
 
 
 def _closed_two_hook(n: int) -> SquareClassFormula:
     # n^C(N,n) * ((n-1)!)^((n-1) * C(N+1,n))
-    cn = binomial_poly(n)
-    cn1 = binomial_poly(n - 1)
+    cn = Binomials.unit(n)
+    cn1 = Binomials.unit(n - 1)
     out = SquareClassFormula.from_integer(n, cn)
     return out.times(
         SquareClassFormula.from_integer(math.factorial(n - 1), (cn + cn1) * (n - 1))
@@ -264,9 +253,9 @@ def _closed_three_hook(n: int) -> SquareClassFormula:
     #   two letters doubled             -> 2*(n-2)!          size 1
     #   one of n-1 letters doubled      -> det (n-2)!^(n-2) * 2^(n-3) * n
     #   all letters distinct            -> det (2(n-2)!)^C(n-1,2) * n^(n-2)
-    cn = binomial_poly(n)
-    cn1 = binomial_poly(n - 1)
-    cn2 = binomial_poly(n - 2)
+    cn = Binomials.unit(n)
+    cn1 = Binomials.unit(n - 1)
+    cn2 = Binomials.unit(n - 2)
     half = math.comb(n - 1, 2)
     x = (cn2 + cn) * half + cn1 * ((n - 1) * (n - 2))
     y = cn2 * math.comb(n - 2, 2) + cn1 * ((n - 1) * (n - 3)) + cn * half

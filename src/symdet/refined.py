@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import Partition, frame_of, partitions_of
 from .exact import (
     POLY_N,
+    Binomials,
     Poly,
     SquareClassFormula,
     poly_factor_rational,
@@ -34,7 +35,7 @@ from .exact import (
     poly_matrix_rank,
     squarefree_part,
 )
-from .gram import symmetrization_determinant
+from .gram import determinant_classes
 from .symmetrizer import (
     SignedWordSum,
     apply_symmetrizer,
@@ -445,7 +446,7 @@ class RefinedResult:
     shape: Partition
     constituents: list[RefinedConstituent]
     refined_dimension: Poly
-    refined_det: SquareClassFormula  # exact exponents; reduce for display
+    refined_det: SquareClassFormula  # class modulo squares; reduce for display
 
 
 @lru_cache(maxsize=None)
@@ -474,12 +475,14 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
             if c is not None:
                 constituents.append(c)
 
-    sym = symmetrization_determinant(shape)
+    # mod 2 reduction of each binomial coefficient commutes with the
+    # products below, so the reduced class stands in for the exact one
+    sym = determinant_classes([shape])[0]
     dim = sym.dimension
-    det = sym.full_formula()
+    det = replace(sym.c_reduced, detB_exponent=(dim * n).divexact(POLY_N))
     for c in constituents:
         sub = refined_decomposition(c.gamma)
         dim = dim - sub.refined_dimension * c.multiplicity
-        det = det.with_poly_value(c.c_det, -sub.refined_dimension)
+        det = det.with_poly_value(c.c_det, Binomials.of(-sub.refined_dimension))
         det = det.times(sub.refined_det, power=-c.multiplicity)
     return RefinedResult(shape, constituents, dim, det)

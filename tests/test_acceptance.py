@@ -24,7 +24,7 @@ from symdet.combinat import (
     ssyt_with_pattern,
     standard_tableau_count,
 )
-from symdet.exact import Poly, squarefree_part
+from symdet.exact import Binomials, Poly, squarefree_part
 from symdet.golden import load_golden, verify_refined
 from symdet.gram import closed_form_c, gram_block, symmetrization_determinant
 from symdet.refined import (
@@ -341,10 +341,10 @@ def test_criterion_6_refined_determinant():
     reduced = result.refined_det.reduced()
 
     # the stated closed formula, factor by factor
-    c3 = Poly.from_binomials({3: 1})
-    n_poly = Poly((0, 1))
-    assert reduced.prime_factors == {2: n_poly, 3: c3}
-    assert reduced.poly_factors == {(Fraction(-1), Fraction(1)): n_poly}
+    c3 = Binomials.unit(3)
+    n_binomials = Binomials.unit(1)
+    assert reduced.prime_factors == {2: n_binomials, 3: c3}
+    assert reduced.poly_factors == {(Fraction(-1), Fraction(1)): n_binomials}
     assert reduced.detB_exponent == Poly((-2, 0, 1))
     assert reduced.render_text() == "2^N * 3^C(N,3) * (N - 1)^N * det(B)^(N^2 - 2)"
 

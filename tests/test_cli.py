@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -162,6 +163,48 @@ class TestVerifyCommand:
         assert code == 1
         assert "mismatch" in out
         assert out.count("mismatch:") == 1
+
+    @pytest.mark.parametrize(
+        "content", [None, "not json {", '{"version": 1}'], ids=["missing", "not-json", "no-tables"]
+    )
+    def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):
+        bad = tmp_path / "golden.json"
+        if content is not None:
+            bad.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "1", "verify", "--scope", "sym", "--golden", str(bad)])
+        assert exc.value.code == 2
+        assert f"bad golden file {bad}" in capsys.readouterr().err
+
+
+class TestPinnedOutput:
+    """sha256 of stdout for each output format, so renderer rewrites stay byte-identical."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--format", "text", "table", "--n", "6"),
+             "b98dc28bbc0cd6de74c0fb511f2176c9980a81e2fa784918734969527d3342eb"),
+            (("--format", "json", "table", "--n", "6"),
+             "f42bd615d9cb02709ec2b568fb848ae43b6a122bbef6c6be56d34b59d90718cf"),
+            (("--format", "latex", "table", "--n", "6"),
+             "c0f5576600cd36916d5f6ed4a7ae5f5141863a93cd4e1886373d2f533bda385e"),
+            (("--format", "text", "sym", "2,1"),
+             "89dc1f50091a3ebb5b7dc95d4e3e15efe91101bc99fa6aad2fa718627392e353"),
+            (("--format", "latex", "sym", "3,2"),
+             "e1874750d1c2abc7921b40dd0c016baaa7a9f3c0da81f468298176cbbe670636"),
+            (("--format", "text", "refined", "4,2"),
+             "de4558b9381453170a7b4f2434364882368bde5630b591180fd4fcc1eb92157e"),
+            (("--format", "latex", "refined", "4,2"),
+             "95253e68f80e07903bcf7e36555656dc184c37dd2a5e2e910a148a711406a812"),
+            (("--format", "json", "refined", "3,2"),
+             "3ca8a6db63124fb1b9a65653bd3165d9504b4c69acf65abe211ae73a2daa9ab8"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out = run(capsys, "--jobs", "1", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

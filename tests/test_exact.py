@@ -1,14 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from symdet.exact import (
+    Binomials,
     DegreeBoundError,
     Poly,
     SquareClassFormula,
     bareiss_det,
-    binomial_poly,
     factorint,
     interpolate,
     poly_factor_rational,
@@ -84,24 +85,50 @@ class TestPoly:
         with pytest.raises(ValueError):
             Poly((1, 1)).divexact(Poly((0, 1)))
 
-    def test_binomial_poly(self):
-        c3 = binomial_poly(3)
-        assert [c3(n) for n in range(6)] == [0, 0, 0, 1, 4, 10]
-
-    def test_newton_roundtrip(self):
-        p = Poly.from_binomials({2: 4, 3: 2})
-        assert p.newton_coeffs() == [0, 0, 4, 2]
-
-    @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6))
-    def test_newton_inverse(self, coeffs):
-        p = Poly(coeffs)
-        combo = {k: a for k, a in enumerate(p.newton_coeffs())}
-        assert Poly.from_binomials(combo) == p
-
     def test_factored_str(self):
         assert Poly((0, Fraction(-1, 2), Fraction(1, 2))).factored_str() == "N*(N-1)/2"
         third = Fraction(1, 3)
         assert Poly((0, -third, 0, third)).factored_str() == "N*(N-1)*(N+1)/3"
+
+
+def _binomial_combo_poly(combo):
+    """sum a_k * C(N,k) in the power basis, built without Binomials."""
+    p = Poly()
+    for k, a in enumerate(combo):
+        term = Poly.const(Fraction(a, math.factorial(k)))
+        for i in range(k):
+            term = term * Poly((-i, 1))
+        p = p + term
+    return p
+
+
+class TestBinomials:
+    def test_unit_values(self):
+        c3 = Binomials.unit(3)
+        assert [c3(n) for n in range(6)] == [0, 0, 0, 1, 4, 10]
+
+    def test_of_roundtrip(self):
+        p = Poly((0, Fraction(-4, 3), 1, Fraction(1, 3)))  # 4*C(N,2) + 2*C(N,3)
+        assert Binomials.of(p) == Binomials((0, 0, 4, 2))
+
+    @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6))
+    def test_of_integer_valued(self, combo):
+        p = _binomial_combo_poly(combo)
+        b = Binomials.of(p)
+        assert b == Binomials(combo)
+        assert all(b(n) == p(n) for n in range(12))
+
+    def test_of_rejects_non_integer_valued(self):
+        with pytest.raises(ValueError, match=r"1/2\*N"):
+            Binomials.of(Poly((0, Fraction(1, 2))))
+
+    @given(st.lists(st.integers(min_value=-9, max_value=9), max_size=6))
+    def test_mod2_parity(self, combo):
+        b = Binomials(combo)
+        r = b.mod2()
+        assert set(r.coeffs) <= {0, 1}
+        assert all((r(n) - b(n)) % 2 == 0 for n in range(12))
+        assert not (b * 2).mod2()
 
 
 class TestPolyFactorRational:
@@ -177,36 +204,36 @@ class TestInterpolate:
 
 class TestSquareClassFormula:
     def test_reduction_drops_even_exponents(self):
-        f = SquareClassFormula.from_integer(16, binomial_poly(2))
-        f = f.times(SquareClassFormula.from_integer(12, binomial_poly(3)))
+        f = SquareClassFormula.from_integer(16, Binomials.unit(2))
+        f = f.times(SquareClassFormula.from_integer(12, Binomials.unit(3)))
         red = f.reduced()
         assert red.render_text() == "3^C(N,3)"
 
     def test_negative_exponents_reduce(self):
-        f = SquareClassFormula.from_integer(8, Poly((0, -3)))  # 8^(-3N) ~ 2^N
+        f = SquareClassFormula.from_integer(8, Binomials.unit(1) * -3)  # 8^(-3N) ~ 2^N
         assert f.reduced().render_text() == "2^N"
 
     def test_evaluate_class(self):
-        f = SquareClassFormula.from_integer(3, binomial_poly(3))
+        f = SquareClassFormula.from_integer(3, Binomials.unit(3))
         assert f.evaluate_class(3) == 3  # C(3,3) = 1
         assert f.evaluate_class(4) == 1  # C(4,3) = 4
 
     def test_poly_value_factors(self):
         f = SquareClassFormula.one().with_poly_value(
-            Poly((-8, 8)), Poly.const(1)
+            Poly((-8, 8)), Binomials.unit(0)
         )  # 8(N-1)
         red = f.reduced()
         assert red.render_text() == "2 * (N - 1)"
         assert not f.unreduced
 
     def test_unreduced_flag(self):
-        f = SquareClassFormula.one().with_poly_value(Poly((1, 0, 1)), Poly.const(1))
+        f = SquareClassFormula.one().with_poly_value(Poly((1, 0, 1)), Binomials.unit(0))
         assert f.unreduced
 
     def test_json_roundtrip_stable(self):
         import json
 
-        f = SquareClassFormula.from_integer(12, binomial_poly(3)).reduced()
+        f = SquareClassFormula.from_integer(12, Binomials.unit(3)).reduced()
         blob = json.dumps(f.to_json())
         assert json.loads(blob) == f.to_json()
 
