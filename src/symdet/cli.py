@@ -310,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         try:
             args.golden_tables = load_golden(args.golden)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"bad golden file {args.golden}: {type(exc).__name__}: {exc}")
         return cmd_verify(args)
     raise AssertionError("unreachable")

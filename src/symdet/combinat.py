@@ -193,6 +193,59 @@ def dominates(shape: Partition, pattern: Pattern) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Littlewood-Richardson coefficient c^lam_{mu nu}.
+
+    Counts the semistandard fillings of the skew shape lam/mu with
+    content nu whose reverse reading word (rows top to bottom, each
+    right to left) is a lattice word.  Cells are filled in that order.
+    """
+    inner = mu.parts + (0,) * (len(lam) - len(mu))
+    if lam.n != mu.n + nu.n or len(mu) > len(lam) or any(m > p for m, p in zip(inner, lam)):
+        return 0
+    cells = [(r, c) for r, (p, m) in enumerate(zip(lam, inner)) for c in range(p - 1, m - 1, -1)]
+    filled: dict[tuple[int, int], int] = {}
+    used = [0] * len(nu)
+
+    def count(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        right, above = filled.get((r, c + 1)), filled.get((r - 1, c))
+        total = 0
+        for letter in range(len(nu)):
+            if used[letter] == nu[letter] or (letter and used[letter] == used[letter - 1]):
+                continue
+            if (right is not None and letter > right) or (above is not None and letter <= above):
+                continue
+            filled[r, c] = letter
+            used[letter] += 1
+            total += count(idx + 1)
+            used[letter] -= 1
+        filled.pop((r, c), None)
+        return total
+
+    return count(0)
+
+
+@lru_cache(maxsize=None)
+def littlewood_multiplicity(lam: Partition, gamma: Partition) -> int:
+    """Multiplicity of the O(N) irreducible gamma in the GL(N) one lam.
+
+    Littlewood's branching rule in the stable range (Koike-Terada):
+    the sum of c^lam_{delta gamma} over the partitions delta with
+    every part even.
+    """
+    rest = lam.n - gamma.n
+    if rest < 0 or rest % 2:
+        return 0
+    return sum(
+        lr_coefficient(lam, Partition(2 * p for p in half), gamma)
+        for half in partitions_of(rest // 2)
+    )
+
+
 def _content_and_hook(shape: Partition):
     """(column - row, hook length) of every box, row by row."""
     conj = shape.conjugate()

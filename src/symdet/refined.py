@@ -6,6 +6,9 @@ pieces, reached by inserting paired basis vectors at chosen tensor
 positions and re-symmetrizing.  For each smaller shape gamma the
 coupling is a symmetric matrix of polynomials in N; its size is the
 multiplicity and its determinant class feeds the refined determinant.
+The multiplicity comes from Littlewood's branching rule, and the
+coupling basis is the first that many independent chain embeddings
+in one scan of the candidate chains.
 
 Everything runs in the orthonormal model (every basis vector of norm
 1): the couplings are polynomials in N alone, so no generality is lost.
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import Partition, frame_of, partitions_of
+from .combinat import Partition, frame_of, littlewood_multiplicity, partitions_of
 from .exact import (
     POLY_N,
     Binomials,
@@ -207,45 +210,28 @@ def _aligned_pairs(n: int) -> list[tuple[int, int]]:
     return [(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)]
 
 
-def chain_pool(n: int, j: int, cap: int) -> list[Chain]:
-    """Deterministic candidate chains: aligned pairs first, one straddle per level.
+def chain_pool(n: int, j: int) -> list[Chain]:
+    """Candidate chains of j disjoint pairs, in scan order.
 
-    The first pair is always (1,2); deeper levels offer the remaining
-    aligned pairs plus the smallest non-aligned disjoint pair, so the
-    pool stays small but spans the coupling space in practice.
+    First the structured pool: the first pair is (1,2), and each deeper
+    level offers the remaining aligned pairs plus the smallest
+    non-aligned disjoint pair.  Then every other chain, lexicographically.
     """
-    aligned = set(_aligned_pairs(n))
+    aligned = _aligned_pairs(n)
 
     def extend(prefix: list[tuple[int, int]], used: set[int]) -> list[Chain]:
         if len(prefix) == j:
             return [tuple(prefix)]
-        options: list[tuple[int, int]] = []
-        for p in _aligned_pairs(n):
-            if p[0] not in used and p[1] not in used and (not prefix or p > prefix[-1]):
+        options = [p for p in aligned if p > prefix[-1] and not used & set(p)]
+        for p in itertools.combinations(range(1, n + 1), 2):
+            if p not in aligned and not used & set(p):
                 options.append(p)
-        straddle = None
-        for i, jj in itertools.combinations(range(1, n + 1), 2):
-            if (i, jj) in aligned or i in used or jj in used:
-                continue
-            straddle = (i, jj)
-            break
-        if straddle is not None and straddle not in options:
-            options.append(straddle)
-        out = []
-        for p in options:
-            out.extend(extend(prefix + [p], used | set(p)))
-        return out
+                break
+        return [c for p in options for c in extend(prefix + [p], used | set(p))]
 
-    level1 = [(1, 2)]
-    if j == 1 and n >= 3:
-        level1.append((1, 3))
-    chains: list[Chain] = []
-    for first in level1:
-        chains.extend(extend([first], set(first)))
-    # dedupe preserving order
-    seen = set()
-    uniq = [c for c in chains if not (c in seen or seen.add(c))]
-    return uniq[:cap]
+    structured = extend([(1, 2)], {1, 2})
+    seen = set(structured)
+    return structured + [c for c in all_disjoint_chains(n, j) if c not in seen]
 
 
 def all_disjoint_chains(n: int, j: int) -> list[Chain]:
@@ -299,13 +285,6 @@ def _reduce_det(det: Poly) -> tuple[Poly, bool]:
         if mult % 2:
             out = out * fac
     return out, True
-
-
-def _candidate_chains(n: int, j: int) -> list[Chain]:
-    """Structured pool first, then every remaining disjoint-pair chain."""
-    structured = chain_pool(n, j, cap=1 << 20)
-    seen = set(structured)
-    return structured + [c for c in all_disjoint_chains(n, j) if c not in seen]
 
 
 def _dummy_embed(chain: Chain, v: dict[Word, int], n: int, first: int) -> dict[Word, int]:
@@ -367,15 +346,23 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
     both sides relabel alike, so X_a(v) may be moved onto X_a(w0) with
     v replaced by e' e'* w0 = |R'| C' R' C' w0 on the other side: one
     word against one sum, paired by an exact strand count with N
-    symbolic.  A chain survives when its diagonal entry is nonzero.
-    The multiplicity is the rank over the rational function field, read
-    off the first surviving chains; a pool whose rank saturates it is
-    widened before the multiplicity is trusted.  None means every
-    disjoint-pair chain is killed.
+    symbolic.
+
+    The multiplicity m is known in advance from Littlewood's branching
+    rule (``littlewood_multiplicity``); None means it is 0, and nothing
+    is scanned.  Otherwise the scan walks ``chain_pool`` once and keeps
+    a chain when it raises the rank of the kept chains' Gram over the
+    rational function field, so a chain whose image vanishes is never
+    kept.  It stops at m chains, which span the multiplicity space as m
+    is its dimension; running out of chains first raises
+    ArithmeticError.
     """
     n, m = shape.n, gamma.n
     if (n - m) % 2 or n == m:
         raise ValueError("gamma must have weight n - 2j for some j >= 1")
+    target = littlewood_multiplicity(shape, gamma)
+    if not target:
+        return None
     j = (n - m) // 2
     w0 = {tuple(range(1, m + 1)): 1}
     v = symmetrize(gamma, w0)
@@ -391,44 +378,28 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
             entries[a, b] = entries[b, a] = Poly([scale * c for c in counts])
         return entries[a, b]
 
-    def survivors():
-        for ch in _candidate_chains(n, j):
-            x = _dummy_embed(ch, v_adj, n, j)
-            rcr = row_sum(shape, column_sum(shape, row_sum(shape, x)))
-            halves[ch] = _dummy_embed(ch, w0, n, 0), rcr
-            if entry(ch, ch):
-                yield ch
-
-    found = survivors()
-    pool = list(itertools.islice(found, 4))
-    if not pool:
-        return None
-
-    while True:
-        gram = [[entry(a, b) for b in pool] for a in pool]
-        rank = poly_matrix_rank(gram)
-        if rank < len(pool):
-            break
-        extra = list(itertools.islice(found, 2 * rank + 2 - len(pool)))
-        if not extra:
-            break
-        pool += extra
-
-    chosen: list[int] = []
-    for idx in range(len(pool)):
-        trial = chosen + [idx]
-        sub = [[gram[a][b] for b in trial] for a in trial]
-        if poly_matrix_rank(sub) == len(trial):
-            chosen.append(idx)
-        if len(chosen) == rank:
-            break
-    c_matrix = tuple(tuple(gram[a][b] for b in chosen) for a in chosen)
+    chosen: list[Chain] = []
+    for ch in chain_pool(n, j):
+        x = _dummy_embed(ch, v_adj, n, j)
+        rcr = row_sum(shape, column_sum(shape, row_sum(shape, x)))
+        halves[ch] = _dummy_embed(ch, w0, n, 0), rcr
+        trial = chosen + [ch]
+        if poly_matrix_rank([[entry(a, b) for b in trial] for a in trial]) == len(trial):
+            chosen.append(ch)
+            if len(chosen) == target:
+                break
+    else:
+        raise ArithmeticError(
+            f"refined {shape}/{gamma}: {len(chosen)} independent chains, "
+            f"Littlewood multiplicity {target}"
+        )
+    c_matrix = tuple(tuple(entry(a, b) for b in chosen) for a in chosen)
     det = poly_matrix_det([list(r) for r in c_matrix])
     reduced, ok = _reduce_det(det)
     return RefinedConstituent(
         gamma=gamma,
-        multiplicity=rank,
-        chains=tuple(pool[i] for i in chosen),
+        multiplicity=target,
+        chains=tuple(chosen),
         c_matrix=c_matrix,
         c_det=det,
         c_reduced=reduced,

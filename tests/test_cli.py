@@ -165,7 +165,15 @@ class TestVerifyCommand:
         assert out.count("mismatch:") == 1
 
     @pytest.mark.parametrize(
-        "content", [None, "not json {", '{"version": 1}'], ids=["missing", "not-json", "no-tables"]
+        "content",
+        [
+            None,
+            "not json {",
+            '{"version": 1}',
+            '{"version": 1, "symmetrizations": 5, "symmetrizations_stretch": [], '
+            '"refined": [], "matrices": {}, "coupling_42_2": {"matrix": []}}',
+        ],
+        ids=["missing", "not-json", "no-tables", "wrong-structure"],
     )
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):
         bad = tmp_path / "golden.json"
@@ -199,6 +207,8 @@ class TestPinnedOutput:
              "95253e68f80e07903bcf7e36555656dc184c37dd2a5e2e910a148a711406a812"),
             (("--format", "json", "refined", "3,2"),
              "3ca8a6db63124fb1b9a65653bd3165d9504b4c69acf65abe211ae73a2daa9ab8"),
+            (("--format", "json", "refined", "5,2"),
+             "d7a7099d72e4f48890c81673bc86cd5c70ac7ef3d2643f5419716db1d4f869f0"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -12,6 +12,8 @@ from symdet.combinat import (
     enumerate_ssyt,
     frame_of,
     kostka,
+    littlewood_multiplicity,
+    lr_coefficient,
     partitions_of,
     ssyt_with_pattern,
     standard_tableau_count,
@@ -167,6 +169,61 @@ class TestStandardTableaux:
         for n in range(2, 9):
             total = sum(standard_tableau_count(p) ** 2 for p in partitions_of(n))
             assert total == math.factorial(n)
+
+
+def _horizontal_strip(lam, mu):
+    """mu inside lam with at most one box of lam/mu in each column."""
+    part = lambda p, i: p[i] if i < len(p) else 0
+    return len(mu) <= len(lam) and all(
+        part(lam, i + 1) <= part(mu, i) <= lam[i] for i in range(len(lam))
+    )
+
+
+def _vertical_strip(lam, mu):
+    return _horizontal_strip(lam.conjugate(), mu.conjugate())
+
+
+class TestLittlewoodRichardson:
+    def test_pieri_rule(self):
+        mismatches = []
+        for n in range(0, 9):
+            for lam in partitions_of(n):
+                for k in range(n + 1):
+                    row, column = Partition((k,) if k else ()), Partition((1,) * k)
+                    for mu in partitions_of(n - k):
+                        if lr_coefficient(lam, mu, row) != _horizontal_strip(lam, mu):
+                            mismatches.append((lam, mu, row))
+                        if lr_coefficient(lam, mu, column) != _vertical_strip(lam, mu):
+                            mismatches.append((lam, mu, column))
+        assert mismatches == []
+
+    def test_symmetric_in_the_two_factors(self):
+        for n in range(0, 8):
+            for lam in partitions_of(n):
+                for k in range(n + 1):
+                    for mu in partitions_of(k):
+                        for nu in partitions_of(n - k):
+                            assert lr_coefficient(lam, mu, nu) == lr_coefficient(lam, nu, mu)
+
+    def test_known_values(self):
+        P = Partition
+        assert lr_coefficient(P((3, 2, 1)), P((2, 1)), P((2, 1))) == 2
+        assert lr_coefficient(P((2, 1)), P((2,)), P((2,))) == 0
+        assert lr_coefficient(P((2,)), P((1, 1)), P(())) == 0
+
+    def test_littlewood_multiplicities(self):
+        P = Partition
+        assert littlewood_multiplicity(P((5, 2)), P((3,))) == 2
+        assert littlewood_multiplicity(P((4, 2)), P((2,))) == 2
+        assert littlewood_multiplicity(P((4, 2)), P((1, 1))) == 0
+        assert littlewood_multiplicity(P((3, 1)), P((3,))) == 0  # odd weight gap
+        for n in range(2, 8):
+            column = P((1,) * n)
+            assert all(
+                littlewood_multiplicity(column, gamma) == 0
+                for k in range(n - 1, -1, -1)
+                for gamma in partitions_of(k)
+            )
 
 
 class TestFrame:

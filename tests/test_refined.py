@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symdet.combinat
 import symdet.exact
 import symdet.refined
 from symdet.combinat import Partition, partitions_of
 from symdet.exact import Poly, interpolate
 from symdet.refined import (
     ConcreteTensor,
-    _candidate_chains,
     all_disjoint_chains,
     chain_pool,
     constituent_gram,
@@ -132,13 +132,13 @@ class TestChainPools:
         assert len(all_disjoint_chains(6, 2)) == 45
 
     def test_structured_pool_starts_aligned(self):
-        pool = chain_pool(6, 2, 10)
+        pool = chain_pool(6, 2)
         assert pool[0] == ((1, 2), (3, 4))
         assert ((1, 2), (5, 6)) in pool
 
     def test_pool_pairs_disjoint(self):
         for n, j in ((4, 2), (6, 2), (6, 3), (7, 3)):
-            for chain in chain_pool(n, j, 100):
+            for chain in chain_pool(n, j):
                 flat = [x for ij in chain for x in ij]
                 assert len(set(flat)) == len(flat)
 
@@ -218,11 +218,58 @@ class TestConstituentPoly:
             const = {4: 3, 5: 1, 6: 5}[n]
             assert c.c_reduced == Poly((-(n - 2), 1)) * const
 
+    def test_five_two_three_has_multiplicity_two(self):
+        c = constituent_poly(P((5, 2)), P((3,)))
+        assert c.multiplicity == 2
+        roots = (2, -1, -2, -6)
+        assert c.c_reduced == math.prod((Poly((-r, 1)) for r in roots), start=Poly.const(10))
+
+    def test_scan_cannot_pass_the_multiplicity(self, monkeypatch):
+        # with the target raised by one, the candidate chains must run out
+        def one_more(shape, gamma):
+            return symdet.combinat.littlewood_multiplicity(shape, gamma) + 1
+
+        monkeypatch.setattr(symdet.refined, "littlewood_multiplicity", one_more)
+        constituent_poly.cache_clear()
+        pairs = [
+            (shape, gamma)
+            for n in range(2, 7)
+            for shape in partitions_of(n)
+            for j in range(1, n // 2 + 1)
+            for gamma in partitions_of(n - 2 * j)
+        ]
+        assert len(pairs) == 136
+        try:
+            for shape, gamma in pairs:
+                with pytest.raises(ArithmeticError, match="Littlewood multiplicity"):
+                    constituent_poly(shape, gamma)
+        finally:
+            constituent_poly.cache_clear()
+
     def test_gamma_weight_checked(self):
         with pytest.raises(ValueError):
             constituent_poly(P((3, 1)), P((3,)))
         with pytest.raises(ValueError):
             constituent_poly(P((3, 1)), P((4,)))
+
+
+def _el_samra_king(shape):
+    """O(N) dimension of the traceless part, El Samra-King (1979).
+
+    Product over boxes (i,j) of (N + r)/hook with r = l_i + l_j - i - j
+    on and above the diagonal and r = -l'_i - l'_j + i + j - 2 below it.
+    """
+    rows = list(shape.parts)
+    cols = [sum(1 for p in rows if p > c) for c in range(rows[0])]
+    row = lambda i: rows[i - 1] if i <= len(rows) else 0
+    col = lambda i: cols[i - 1] if i <= len(cols) else 0
+    out = Poly.const(1)
+    for i in range(1, len(rows) + 1):
+        for j in range(1, rows[i - 1] + 1):
+            r = row(i) + row(j) - i - j if i <= j else -col(i) - col(j) + i + j - 2
+            hook = (row(i) - j) + (col(j) - i) + 1
+            out = out * Poly((Fraction(r, hook), Fraction(1, hook)))
+    return out
 
 
 class TestRefinedDecomposition:
@@ -247,6 +294,12 @@ class TestRefinedDecomposition:
         sym = symmetrization_determinant(P((1, 1, 1)))
         full = replace(sym.c_formula, detB_exponent=sym.detB_exponent)
         assert sym_det.reduced().render_text() == full.reduced().render_text()
+
+    @pytest.mark.parametrize(
+        "shape", [p for n in range(2, 8) for p in partitions_of(n)], ids=str
+    )
+    def test_dimension_matches_el_samra_king(self, shape):
+        assert refined_decomposition(shape).refined_dimension == _el_samra_king(shape)
 
     def test_degree_limit(self):
         with pytest.raises(ValueError):
@@ -301,7 +354,7 @@ class TestSymbolicAgainstConcrete:
         shape, gamma = P((4, 2)), P((1, 1))
         assert constituent_poly(shape, gamma) is None
         v = reference_vector(gamma, 7)
-        for chain in _candidate_chains(shape.n, 2):
+        for chain in chain_pool(shape.n, 2):
             image = symmetrize_tensor(shape, embed_chain(chain, v, shape.n))
             assert image.is_zero(), chain
 
