@@ -31,8 +31,8 @@ def parse_partition(text: str) -> Partition:
         if "^" in chunk:
             base_s, _, count_s = chunk.partition("^")
             base, count = int(base_s), int(count_s)
-            if count < 1:
-                raise ValueError("repeat count must be positive")
+            if not 1 <= count <= MAX_TABLE_N:
+                raise ValueError(f"repeat count must be between 1 and {MAX_TABLE_N}")
             parts.extend([base] * count)
         else:
             parts.append(int(chunk))

@@ -131,7 +131,6 @@ def frame_of(shape: Partition) -> TableauFrame:
     return TableauFrame(shape, tuple(rows), tuple(cols))
 
 
-@lru_cache(maxsize=None)
 def ssyt_with_pattern(shape: Partition, pattern: Pattern) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All semistandard fillings of ``shape`` with letter i+1 used pattern[i] times.
 
@@ -193,7 +192,6 @@ def dominates(shape: Partition, pattern: Pattern) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^lam_{mu nu}.
 
@@ -229,7 +227,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return count(0)
 
 
-@lru_cache(maxsize=None)
 def littlewood_multiplicity(lam: Partition, gamma: Partition) -> int:
     """Multiplicity of the O(N) irreducible gamma in the GL(N) one lam.
 

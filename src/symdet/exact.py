@@ -5,7 +5,9 @@ Everything downstream works over plain Python integers and
 polynomials in the formal dimension variable ``N``, and multiplicative
 formulas taken modulo nonzero rational squares, whose exponents are
 integer combinations of C(N,k).  Nothing in this module is ever
-approximate.
+approximate: integers are factored by trial division alone, and a
+cofactor too large to certify that way raises instead of being passed
+by a probabilistic test.
 """
 
 from __future__ import annotations
@@ -27,83 +29,31 @@ class DegreeBoundError(ValueError):
 # integer factorization
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Miller-Rabin with the bases 2..41 is deterministic below this bound
-# (psi_13, Sorenson-Webster); bases 2..37 alone fail at psi_12 =
-# 318665857834031151167461.
-_MR_BOUND = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic primality; raises above the proven Miller-Rabin bound."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MR_BOUND:
-        raise ArithmeticError(f"cannot certify {n} as prime: beyond the deterministic bound")
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
+_TRIAL_BOUND = 100_000
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer as {prime: exponent}."""
+    """Prime factorization of a positive integer as {prime: exponent}.
+
+    Trial division by 2 and the odd numbers p while p^2 <= n.  What is
+    left is 1 or a prime: it has no factor below p and is less than
+    p^2.  A cofactor that would need a trial divisor above
+    ``_TRIAL_BOUND`` raises ArithmeticError instead of being guessed.
+    """
     if n <= 0:
         raise ValueError("factorint needs a positive integer")
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    p = 2
+    while p * p <= n:
+        if p > _TRIAL_BOUND:
+            raise ArithmeticError(f"cannot factor {n}: no prime factor up to {_TRIAL_BOUND}")
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p = 43
-    while p * p <= n and p < 100_000:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2
-    # anything that survives trial division is handled by rho splitting
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return dict(sorted(out.items()))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def squarefree_part(x: Rat) -> tuple[int, dict[int, int]]:
@@ -444,7 +394,7 @@ def interpolate(points: list[tuple[int, Rat]], degree_bound: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free determinants and exact rank
+# determinants
 # ---------------------------------------------------------------------------
 
 
@@ -471,33 +421,6 @@ def bareiss_det(matrix: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def poly_matrix_rank(matrix: list[list[Poly]]) -> int:
-    """Rank of a polynomial matrix over the rational function field."""
-    m = [row[:] for row in matrix]
-    rank = 0
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    for col in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if not m[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, rows):
-            if m[i][col].is_zero():
-                continue
-            factor = m[i][col]
-            m[i] = [m[i][j] * pv - m[rank][j] * factor for j in range(cols)]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def poly_matrix_det(matrix: list[list[Poly]]) -> Poly:

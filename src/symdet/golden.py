@@ -72,7 +72,7 @@ def load_golden(path: str | Path | None = None) -> GoldenTables:
         text = Path(path).read_text()
     try:
         return _parse_golden(json.loads(text))
-    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+    except (ArithmeticError, AttributeError, IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed golden data: {type(exc).__name__}: {exc}") from exc
 
 
@@ -86,6 +86,7 @@ def _parse_golden(doc: dict) -> GoldenTables:
             dim = _poly_from_roots(row["dimension"]["roots"], row["dimension"]["den"])
             det = tuple((base, tuple(ks)) for base, ks in row["det_class"])
             rows.append(SymRow(Partition(row["partition"]), dim, det))
+            rows[-1].reduced_key()  # factor every base now: one that fails is malformed data
         return rows
 
     refined_rows = [

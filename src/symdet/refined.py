@@ -35,7 +35,6 @@ from .exact import (
     SquareClassFormula,
     poly_factor_rational,
     poly_matrix_det,
-    poly_matrix_rank,
     squarefree_part,
 )
 from .gram import determinant_classes
@@ -333,7 +332,6 @@ def _pairing(xs: dict[Word, int], ys: dict[Word, int], j: int) -> list[int]:
     return counts
 
 
-@lru_cache(maxsize=None)
 def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent | None:
     """Coupling of a smaller shape inside a symmetrization, or None.
 
@@ -351,11 +349,12 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
     The multiplicity m is known in advance from Littlewood's branching
     rule (``littlewood_multiplicity``); None means it is 0, and nothing
     is scanned.  Otherwise the scan walks ``chain_pool`` once and keeps
-    a chain when it raises the rank of the kept chains' Gram over the
-    rational function field, so a chain whose image vanishes is never
-    kept.  It stops at m chains, which span the multiplicity space as m
-    is its dimension; running out of chains first raises
-    ArithmeticError.
+    a chain when the Gram of the kept chains with it has a nonzero
+    determinant over the rational function field, so a chain whose
+    image vanishes is never kept and the kept Gram stays nonsingular.
+    It stops at m chains, which span the multiplicity space as m is its
+    dimension, and the last accepted determinant is the coupling's;
+    running out of chains first raises ArithmeticError.
     """
     n, m = shape.n, gamma.n
     if (n - m) % 2 or n == m:
@@ -384,8 +383,10 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
         rcr = row_sum(shape, column_sum(shape, row_sum(shape, x)))
         halves[ch] = _dummy_embed(ch, w0, n, 0), rcr
         trial = chosen + [ch]
-        if poly_matrix_rank([[entry(a, b) for b in trial] for a in trial]) == len(trial):
+        trial_det = poly_matrix_det([[entry(a, b) for b in trial] for a in trial])
+        if trial_det:
             chosen.append(ch)
+            det = trial_det
             if len(chosen) == target:
                 break
     else:
@@ -394,7 +395,6 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
             f"Littlewood multiplicity {target}"
         )
     c_matrix = tuple(tuple(entry(a, b) for b in chosen) for a in chosen)
-    det = poly_matrix_det([list(r) for r in c_matrix])
     reduced, ok = _reduce_det(det)
     return RefinedConstituent(
         gamma=gamma,

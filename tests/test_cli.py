@@ -15,6 +15,12 @@ def run(capsys, *argv):
     return code, out
 
 
+def _edited_golden(edit):
+    doc = json.loads(resources.files("symdet.data").joinpath("golden.json").read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
 class TestPartitionParsing:
     def test_comma_separated(self):
         assert parse_partition("3,1,1") == Partition((3, 1, 1))
@@ -34,6 +40,10 @@ class TestPartitionParsing:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_partition("a,b")
+
+    def test_rejects_repeat_count_before_expanding(self):
+        with pytest.raises(ValueError, match="repeat count"):
+            parse_partition("1^10000000")
 
 
 class TestSymCommand:
@@ -172,8 +182,16 @@ class TestVerifyCommand:
             '{"version": 1}',
             '{"version": 1, "symmetrizations": 5, "symmetrizations_stretch": [], '
             '"refined": [], "matrices": {}, "coupling_42_2": {"matrix": []}}',
+            _edited_golden(lambda doc: doc["symmetrizations"][0]["dimension"].update(den=0)),
+            _edited_golden(lambda doc: doc["refined"][0].update(class_constant=2**89 - 1)),
+            _edited_golden(
+                lambda doc: doc["symmetrizations"][0].update(det_class=[[2**89 - 1, [2]]])
+            ),
         ],
-        ids=["missing", "not-json", "no-tables", "wrong-structure"],
+        ids=[
+            "missing", "not-json", "no-tables", "wrong-structure",
+            "zero-den", "uncertifiable-constant", "uncertifiable-base",
+        ],
     )
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):
         bad = tmp_path / "golden.json"

@@ -14,7 +14,6 @@ from symdet.exact import (
     interpolate,
     poly_factor_rational,
     poly_matrix_det,
-    poly_matrix_rank,
     squarefree_part,
 )
 
@@ -62,10 +61,21 @@ class TestSquarefreePart:
         fact = factorint(n)
         assert set(fact) == {2, 3, 5, 7}
 
-    def test_strong_pseudoprime_to_bases_up_to_37_splits(self):
-        # psi_12 passes Miller-Rabin for every base 2..37; base 41 exposes it
-        assert factorint(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
-        assert squarefree_part(318665857834031151167461 * 399165290221)[0] == 798330580441
+    @pytest.mark.parametrize(
+        "n",
+        [318665857834031151167461, 100003 * 100019],
+        ids=["psi_12", "100003*100019"],
+    )
+    def test_cofactor_beyond_trial_division_raises(self, n):
+        # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to
+        # every base 2..37; trial division must refuse it, not guess
+        with pytest.raises(ArithmeticError, match=str(n)):
+            factorint(n)
+        with pytest.raises(ArithmeticError, match=str(n)):
+            squarefree_part(n * 7)
+
+    def test_square_of_the_largest_trial_prime(self):
+        assert factorint(99991**2 * 6) == {2: 1, 3: 1, 99991: 2}
 
     def test_prime_beyond_the_deterministic_bound_raises(self):
         with pytest.raises(ArithmeticError, match=str(2**89 - 1)):
@@ -260,11 +270,6 @@ class TestLinearAlgebra:
     def test_bareiss_matches_fraction_elimination(self, rows):
         expect = _fraction_det([row[:] for row in rows])
         assert bareiss_det(rows) == expect
-
-    def test_poly_rank(self):
-        n = Poly((0, 1))
-        assert poly_matrix_rank([[n, n], [n, n]]) == 1
-        assert poly_matrix_rank([[n, Poly()], [Poly(), n + 1]]) == 2
 
     def test_poly_det(self):
         n = Poly((0, 1))

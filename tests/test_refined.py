@@ -9,7 +9,7 @@ import symdet.combinat
 import symdet.exact
 import symdet.refined
 from symdet.combinat import Partition, partitions_of
-from symdet.exact import Poly, interpolate
+from symdet.exact import Poly, interpolate, poly_matrix_det
 from symdet.refined import (
     ConcreteTensor,
     all_disjoint_chains,
@@ -230,7 +230,6 @@ class TestConstituentPoly:
             return symdet.combinat.littlewood_multiplicity(shape, gamma) + 1
 
         monkeypatch.setattr(symdet.refined, "littlewood_multiplicity", one_more)
-        constituent_poly.cache_clear()
         pairs = [
             (shape, gamma)
             for n in range(2, 7)
@@ -239,12 +238,9 @@ class TestConstituentPoly:
             for gamma in partitions_of(n - 2 * j)
         ]
         assert len(pairs) == 136
-        try:
-            for shape, gamma in pairs:
-                with pytest.raises(ArithmeticError, match="Littlewood multiplicity"):
-                    constituent_poly(shape, gamma)
-        finally:
-            constituent_poly.cache_clear()
+        for shape, gamma in pairs:
+            with pytest.raises(ArithmeticError, match="Littlewood multiplicity"):
+                constituent_poly(shape, gamma)
 
     def test_gamma_weight_checked(self):
         with pytest.raises(ValueError):
@@ -300,6 +296,15 @@ class TestRefinedDecomposition:
     )
     def test_dimension_matches_el_samra_king(self, shape):
         assert refined_decomposition(shape).refined_dimension == _el_samra_king(shape)
+
+    @pytest.mark.parametrize(
+        "shape", [p for n in range(2, 8) for p in partitions_of(n)], ids=str
+    )
+    def test_coupling_det_is_the_last_accepted_trial(self, shape):
+        for c in refined_decomposition(shape).constituents:
+            assert c.c_det == poly_matrix_det([list(row) for row in c.c_matrix])
+            assert c.c_det
+            assert len(c.chains) == c.multiplicity
 
     def test_degree_limit(self):
         with pytest.raises(ValueError):
@@ -371,12 +376,10 @@ class TestSymbolicAgainstConcrete:
         ):
             monkeypatch.setattr(symdet.refined, name, forbidden, raising=False)
         monkeypatch.setattr(symdet.exact, "interpolate", forbidden)
-        constituent_poly.cache_clear()
         refined_decomposition.cache_clear()
         try:
             for n in range(2, 6):
                 for shape in partitions_of(n):
                     refined_decomposition(shape)
         finally:
-            constituent_poly.cache_clear()
             refined_decomposition.cache_clear()
