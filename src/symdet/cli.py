@@ -123,7 +123,7 @@ def cmd_sym(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     shapes = [shape for n in range(2, args.n + 1) for shape in partitions_of(n)]
     rows = []
-    for shape, result in zip(shapes, determinant_classes(shapes, args.jobs)):
+    for shape, result in zip(shapes, determinant_classes(shapes)):
         rows.append({
             "n": shape.n,
             "partition": list(shape.parts),
@@ -229,7 +229,7 @@ def cmd_refined(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     if args.scope in ("sym", "all"):
-        reports.append(("sym", verify_sym(args.golden_tables, jobs=args.jobs)))
+        reports.append(("sym", verify_sym(args.golden_tables)))
     if args.scope in ("refined", "all"):
         reports.append(("refined", verify_refined(args.golden_tables)))
     failed = False
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="parallel workers for independent blocks (default: all cores)",
+        help="parallel workers for the Gram blocks of sym (default: all cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -295,57 +295,62 @@ def poly_factor_rational(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Pol
 
     Returns ``(content, [(factor, multiplicity), ...], residual)`` with
     ``p == content * prod(factor**mult) * residual``, each factor a
-    primitive integer polynomial ``N - root`` (monic), and the residual
-    free of rational roots (monic).
+    primitive integer polynomial ``q*N - r`` with q > 0, and the residual
+    a primitive integer polynomial with positive leading coefficient and
+    no rational root.
+
+    Works on the primitive integer coefficients throughout.  A root r/q
+    has q dividing the leading and r the constant coefficient of that
+    polynomial, and every quotient's coefficients divide them too, so one
+    pass over those candidates finds every root; each is tested as
+    sum a_i r^i q^(d-i) == 0 and divided out exactly (Gauss's lemma keeps
+    the quotient primitive and integral).
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     content = p.content()
-    prim = p.primitive()
+    ints = [int(c / content) for c in p.coeffs]
     factors: list[tuple[Poly, int]] = []
-    # integer-coefficient copy for rational root search
-    while prim.degree > 0:
-        root = _find_rational_root(prim)
-        if root is None:
-            break
-        lin = Poly((-root, 1))
-        mult = 0
-        while True:
-            q, r = divmod(prim, lin)
-            if not r.is_zero():
-                break
-            prim = q
-            mult += 1
-        # rational (non-integer) roots keep the factor primitive: q*N - p
-        if root.denominator != 1:
-            lin = Poly((-root.numerator, root.denominator))
-            content *= Fraction(1, root.denominator) ** mult
-        factors.append((lin, mult))
+    zeros = next(i for i, a in enumerate(ints) if a)
+    if zeros:
+        ints = ints[zeros:]
+        factors.append((POLY_N, zeros))
+    candidates = [
+        (r, q)
+        for q in sorted(_divisors(ints[-1]))
+        for r in sorted(_divisors(abs(ints[0])))
+        if math.gcd(r, q) == 1
+    ]
+    for r, q in candidates:
+        for root in (r, -r):
+            mult = 0
+            while len(ints) > 1 and _homogeneous_value(ints, root, q) == 0:
+                ints = _deflate(ints, root, q)
+                mult += 1
+            if mult:
+                factors.append((Poly((-root, q)), mult))
     factors.sort(key=lambda t: (t[0].degree, tuple(t[0].coeffs)))
-    # fold any scalar drift from deflation back into the content
-    resid_content = prim.content()
-    if resid_content not in (0, 1):
-        content *= resid_content
-        prim = prim.primitive()
-    return content, factors, prim
+    return content, factors, Poly(ints)
 
 
-def _find_rational_root(p: Poly) -> Fraction | None:
-    # clear denominators
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    # strip powers of N
-    if ints[0] == 0:
-        return Fraction(0)
-    a0, ad = abs(ints[0]), abs(ints[-1])
-    for q in sorted(_divisors(ad)):
-        for r in sorted(_divisors(a0)):
-            for cand in (Fraction(r, q), Fraction(-r, q)):
-                if p(cand) == 0:
-                    return cand
-    return None
+def _homogeneous_value(ints: list[int], r: int, q: int) -> int:
+    """q^d * p(r/q) for p with ascending integer coefficients ``ints`` of degree d."""
+    acc = ints[-1]
+    q_power = 1
+    for a in reversed(ints[:-1]):
+        q_power *= q
+        acc = acc * r + a * q_power
+    return acc
+
+
+def _deflate(ints: list[int], r: int, q: int) -> list[int]:
+    """Quotient of p by q*N - r for a root r/q of p, exact by Gauss's lemma."""
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry = (ints[i] + r * carry) // q
+        out[i - 1] = carry
+    return out
 
 
 def _divisors(n: int) -> list[int]:

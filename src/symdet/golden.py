@@ -131,11 +131,11 @@ class VerifyReport:
         return not self.mismatches
 
 
-def verify_sym(golden: GoldenTables, jobs: int = 1) -> VerifyReport:
+def verify_sym(golden: GoldenTables) -> VerifyReport:
     """Recompute every table row and worked matrix; diff against golden."""
     mismatches = []
     checked = 0
-    results = determinant_classes([row.partition for row in golden.sym_rows], jobs)
+    results = determinant_classes([row.partition for row in golden.sym_rows])
     for row, result in zip(golden.sym_rows, results):
         checked += 1
         if result.dimension != row.dimension:

@@ -8,14 +8,20 @@ C(N,k).  The determinant class of the whole form is therefore the
 product over patterns of det(block)^C(N,k), times det(B) raised to the
 exact exponent dim * n / N.
 
-Rearranging a pattern changes its block determinant only by a rational
-square: a permutation sigma of the orthonormal basis letters is an
-isometry of V^(x)n that commutes with the symmetrizer e and maps the mu
-weight space of e V^(x)n onto the sigma(mu) one, and both weight spaces
-have the tableau images as rational bases.  The class modulo squares
-therefore needs one block per content orbit (:func:`determinant_classes`);
 :func:`symmetrization_determinants` builds every block for the exact
-product.
+product.  :func:`determinant_classes` needs the class modulo rational
+squares only, and builds no block at all.  Take B orthonormal: the
+tensor form is then contravariant for gl_N (E_ij* = E_ji), and the
+image e V^(x)n is the irreducible module S_lambda(V), so the form is
+c_lambda times the contravariant form under which the Gelfand-Tsetlin
+basis is orthogonal, with the closed-form norms of Molev,
+"Gelfand-Tsetlin bases for classical Lie algebras" (Handbook of
+Algebra 4, 2006, arXiv:math/0211289), Thm 2.7.  The tableau images and
+the GT vectors of weight mu are both rational bases of the mu weight
+space, so det(block_mu) equals c_lambda^K times the product of the K
+GT norms up to a rational square.  A rearrangement of mu is reached by
+a permutation of the basis letters, an isometry commuting with e, so
+it has the same class and the same C(N, len mu).
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -133,19 +137,19 @@ def content_orbits(shape: Partition) -> dict[Pattern, int]:
     }
 
 
-def _blocks_by_shape(
-    shapes: list[Partition], patterns: Callable[[Partition], Iterable[Pattern]], jobs: int
-) -> dict[Partition, list[GramBlock]]:
-    """``gram_block`` of each distinct shape with each of ``patterns(shape)``.
+def _blocks_by_shape(shapes: list[Partition], jobs: int) -> dict[Partition, list[GramBlock]]:
+    """``gram_block`` of each distinct shape with each of its patterns.
 
     All blocks go to one pool of min(jobs, cores, blocks) workers, or run
     serially when that is 1; each shape keeps its patterns' order.
     """
     if any(shape.n < 1 for shape in shapes):
         raise ValueError("need a partition of n >= 1")
-    tasks = [(s, p) for s in dict.fromkeys(shapes) for p in patterns(s)]
+    tasks = [(s, p) for s in dict.fromkeys(shapes) for p in patterns_of(s)]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = max(1, len(tasks) // (16 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(gram_block, *zip(*tasks), chunksize=chunksize))
@@ -154,21 +158,18 @@ def _blocks_by_shape(
     return {shape: list(own) for shape, own in groupby(blocks, key=lambda b: b.shape)}
 
 
-def _det_product(
-    blocks: list[GramBlock], times: Callable[[Pattern], int] = lambda pattern: 1
-) -> SquareClassFormula:
-    """Product of det(block)^(times(pattern) * C(N,k)) over the blocks."""
+def _det_product(blocks: list[GramBlock]) -> SquareClassFormula:
+    """Product of det(block)^C(N,k) over the blocks."""
     out = SquareClassFormula.one()
     for b in blocks:
-        exponent = Binomials.unit(b.k) * times(b.pattern)
-        out = out.times(SquareClassFormula.from_integer(b.det, exponent))
+        out = out.times(SquareClassFormula.from_integer(b.det, Binomials.unit(b.k)))
     return out
 
 
 def symmetrization_determinants(shapes: list[Partition], jobs: int = 1) -> list[SymDetResult]:
     """Every Gram block and the exact determinant formula of each shape, in input order."""
     results = {}
-    for shape, blocks in _blocks_by_shape(shapes, patterns_of, jobs).items():
+    for shape, blocks in _blocks_by_shape(shapes, jobs).items():
         dim = dimension_poly(shape)
         detb = (dim * shape.n).divexact(POLY_N)
         block_map = {b.pattern: b for b in blocks}
@@ -181,23 +182,125 @@ def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
     return symmetrization_determinants([shape], jobs)[0]
 
 
-def determinant_classes(shapes: list[Partition], jobs: int = 1) -> list[DetClass]:
+def determinant_classes(shapes: list[Partition]) -> list[DetClass]:
     """Reduced determinant class and dimension of each shape, in input order.
 
-    Builds one Gram block per content orbit.  A permutation sigma of the
-    basis letters is an isometry that commutes with e and maps the mu
-    weight space of the image onto the sigma(mu) one; both have the
-    tableau images as rational bases.  So every rearrangement of mu has
-    the block determinant of mu up to a nonzero rational square, and the
-    same C(N, len mu).  The class is therefore the reduction of
-    prod det(block_mu)^(r(mu) * C(N, len mu)) over the non-increasing
+    Reads each content orbit's block class from Gelfand-Tsetlin norms
+    (Molev, Thm 2.7) instead of building the block.  With B orthonormal
+    the form on e V^(x)n ~ S_lambda(V) is gl_N-contravariant, hence
+    c_lambda times the form in which the GT basis is orthogonal, and
+    both bases of the mu weight space are rational.  So
+
+        det(block_mu) = c_lambda^K * prod_Lambda <xi_Lambda, xi_Lambda>
+
+    modulo rational squares, over the K GT patterns Lambda of top row
+    lambda and weight mu, where c_lambda = |C| * (prod lambda_i!)^2 is
+    the block of mu = lambda.  The class is the reduction of
+    prod (block class)^(r(mu) * C(N, len mu)) over the non-increasing
     patterns mu with a tableau, where r(mu) counts their rearrangements.
+    Only exponent parities are tracked, as bitmasks over the primes up
+    to 2n + 2.
     """
+    if any(shape.n < 1 for shape in shapes):
+        raise ValueError("need a partition of n >= 1")
+    primes, fact = _factorial_parities(2 * max((shape.n for shape in shapes), default=0) + 2)
     results = {}
-    for shape, blocks in _blocks_by_shape(shapes, content_orbits, jobs).items():
-        c_reduced = _det_product(blocks, content_orbits(shape).__getitem__).reduced()
+    for shape in dict.fromkeys(shapes):
+        by_length: dict[int, int] = {}  # len mu -> parity mask of the product over mu
+        for mu, rearrangements in content_orbits(shape).items():
+            if rearrangements % 2:
+                by_length[len(mu)] = by_length.get(len(mu), 0) ^ _gt_block(shape, mu, fact)[1]
+        c_reduced = SquareClassFormula({
+            p: e
+            for i, p in enumerate(primes)
+            if (e := Binomials(by_length.get(k, 0) >> i & 1 for k in range(shape.n + 1)))
+        })
         results[shape] = DetClass(shape, c_reduced, dimension_poly(shape))
     return [results[shape] for shape in shapes]
+
+
+def _factorial_parities(top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The primes up to ``top`` and, for x = 0..top, the odd-exponent primes of x! as a bitmask.
+
+    Bit i stands for the i-th prime; the exponents come from Legendre's
+    formula v_p(x!) = sum_j floor(x / p^j).
+    """
+    primes = tuple(p for p in range(2, top + 1) if all(p % d for d in range(2, p)))
+    masks = []
+    for x in range(top + 1):
+        mask = 0
+        for i, p in enumerate(primes):
+            v, q = 0, p
+            while q <= x:
+                v += x // q
+                q *= p
+            mask |= (v & 1) << i
+        masks.append(mask)
+    return primes, tuple(masks)
+
+
+def _gt_block(shape: Partition, mu: Pattern, fact: tuple[int, ...]) -> tuple[int, int]:
+    """GT pattern count K and parity mask of c_lambda^K * prod <xi, xi> for weight mu.
+
+    Patterns are built a row at a time from the top row lambda (padded
+    to len mu) down, row m - 1 interlacing row m and summing to
+    mu_1 + ... + mu_(m-1).  Each row carries the number of partial
+    patterns ending in it and the XOR of their norm parities, so the
+    patterns are never listed.  ``fact[x]`` is the parity mask of x!.
+    """
+    top = shape.parts + (0,) * (len(mu) - len(shape))
+    rows = {top: (1, 0)}
+    total = shape.n
+    for m in range(len(mu), 1, -1):
+        total -= mu[m - 1]
+        below_rows: dict[tuple[int, ...], tuple[int, int]] = {}
+        for row, (count, mask) in rows.items():
+            for below in _interlacing(row, total):
+                step = _norm_step(row, below, fact) if count % 2 else 0
+                prev_count, prev_mask = below_rows.get(below, (0, 0))
+                below_rows[below] = (prev_count + count, prev_mask ^ mask ^ step)
+        rows = below_rows
+    [(count, mask)] = rows.values()
+    if count % 2:
+        for col in shape.conjugate().parts:  # c_lambda = |C| modulo squares
+            mask ^= fact[col]
+    return count, mask
+
+
+def _interlacing(row: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
+    """Rows b with row[i] >= b[i] >= row[i + 1] and sum(b) == total."""
+    out: list[tuple[int, ...]] = []
+    last = len(row) - 1
+
+    def extend(i: int, prefix: tuple[int, ...], left: int) -> None:
+        if i == last:
+            if left == 0:
+                out.append(prefix)
+            return
+        low = max(row[i + 1], left - sum(row[i + 1:last]))
+        high = min(row[i], left - sum(row[i + 2:]))
+        for b in range(low, high + 1):
+            extend(i + 1, prefix + (b,), left - b)
+
+    extend(0, (), total)
+    return out
+
+
+def _norm_step(row: tuple[int, ...], below: tuple[int, ...], fact: tuple[int, ...]) -> int:
+    """Parity mask of the level-m factor of Molev's norm, row m over row m - 1.
+
+    With l_i = row[i] - i and k_i = below[i] - i (0-based), the factor is
+    prod_{i<=j<m-1} (l_i - k_j)! / (k_i - k_j)!  *  prod_{i<j<=m-1} (l_i - l_j - 1)! / (k_i - l_j - 1)!.
+    """
+    ls = [v - i for i, v in enumerate(row)]
+    ks = [v - i for i, v in enumerate(below)]
+    mask = 0
+    for i, k_i in enumerate(ks):
+        for j in range(i, len(ks)):
+            mask ^= fact[ls[i] - ks[j]] ^ fact[k_i - ks[j]]
+        for j in range(i + 1, len(ls)):
+            mask ^= fact[ls[i] - ls[j] - 1] ^ fact[k_i - ls[j] - 1]
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from symdet.cli import main, parse_partition
 from symdet.combinat import Partition, partitions_of
-from symdet.gram import content_orbits, gram_block
+from symdet.gram import content_orbits, gram_block, patterns_of
 
 
 def run(capsys, *argv):
@@ -115,15 +115,12 @@ class TestTableCommand:
         gram_block.cache_clear()
         code, _ = run(capsys, "--jobs", "1", "--format", "json", "table", "--n", "7")
         assert code == 0
-        assert gram_block.cache_info().currsize == 232
-        # every non-increasing orbit pattern is a hit, so these are the 232 keys
-        misses = gram_block.cache_info().misses
+        # the classes come from Gelfand-Tsetlin norms, one per content orbit, with no block built
+        assert gram_block.cache_info().currsize == 0
         orbits = [(s, mu) for n in range(2, 8) for s in partitions_of(n) for mu in content_orbits(s)]
         assert len(orbits) == 232
         for shape, mu in orbits:
             assert list(mu) == sorted(mu, reverse=True)
-            gram_block(shape, mu)
-        assert gram_block.cache_info().misses == misses
 
 
 class TestRefinedCommand:
@@ -227,6 +224,10 @@ class TestPinnedOutput:
              "3ca8a6db63124fb1b9a65653bd3165d9504b4c69acf65abe211ae73a2daa9ab8"),
             (("--format", "json", "refined", "5,2"),
              "d7a7099d72e4f48890c81673bc86cd5c70ac7ef3d2643f5419716db1d4f869f0"),
+            (("--format", "json", "table", "--n", "8"),
+             "12c9c4c9021b2fa3c261e6b990086b6094d6181705e623b92eab72d6557e5f0b"),
+            (("--format", "json", "table", "--n", "9"),
+             "c04e1a6162e7c755f513e2e70eace153e9f15685374bedea936e82965f47755b"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -270,7 +271,7 @@ def fake_pool(monkeypatch):
             assert chunksize >= 1
             return map(fn, *iterables)
 
-    monkeypatch.setattr("symdet.gram.ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakeExecutor)
     return built
 
 
@@ -278,18 +279,19 @@ class TestWorkerPool:
     @pytest.mark.parametrize("cores", [3, 10**6])
     def test_huge_jobs_is_clamped(self, capsys, monkeypatch, fake_pool, cores):
         monkeypatch.setattr("os.cpu_count", lambda: cores)
-        blocks = sum(len(content_orbits(s)) for n in (2, 3, 4) for s in partitions_of(n))
-        _, clamped = run(capsys, "--jobs", "1000000", "--format", "json", "table", "--n", "4")
+        blocks = len(patterns_of(Partition((3, 1))))
+        _, clamped = run(capsys, "--jobs", "1000000", "--format", "json", "sym", "3,1")
         assert fake_pool == [min(cores, blocks)]
-        _, serial = run(capsys, "--jobs", "1", "--format", "json", "table", "--n", "4")
+        _, serial = run(capsys, "--jobs", "1", "--format", "json", "sym", "3,1")
         assert fake_pool == [min(cores, blocks)]  # --jobs 1 builds no pool
         assert clamped == serial
 
     @pytest.mark.parametrize(
-        "command", [("table", "--n", "7"), ("verify", "--scope", "sym")]
+        "command", [("table", "--n", "7"), ("verify", "--scope", "sym"), ("sym", "4,2")]
     )
     def test_one_pool_per_command(self, capsys, monkeypatch, fake_pool, command):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         code, _ = run(capsys, "--jobs", "2", *command)
         assert code == 0
-        assert fake_pool == [2]
+        # only sym builds Gram blocks; table and verify read classes from GT norms
+        assert fake_pool == ([2] if command[0] == "sym" else [])

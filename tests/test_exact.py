@@ -183,6 +183,30 @@ class TestPolyFactorRational:
             prod = prod * fac**mult
         assert prod * residual == p
 
+    @given(
+        st.integers(min_value=-99, max_value=99).filter(bool),
+        st.integers(min_value=1, max_value=30),
+        st.dictionaries(
+            st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+            st.integers(min_value=1, max_value=3),
+            max_size=4,
+        ),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_recovers_integer_factors(self, num, den, roots, e):
+        # c * prod (q N - r)^m * (N^2 + N + 1)^e with r/q in lowest terms
+        quadratic = Poly((1, 1, 1))
+        p = Poly.const(Fraction(num, den)) * quadratic**e
+        expected = []
+        for root, m in roots.items():
+            factor = Poly((-root.numerator, root.denominator))
+            p = p * factor**m
+            expected.append((factor, m))
+        content, linear, residual = poly_factor_rational(p)
+        assert content == Fraction(num, den)
+        assert linear == sorted(expected, key=lambda t: tuple(t[0].coeffs))
+        assert residual == quadratic**e
+
 
 class TestInterpolate:
     def test_linear(self):

@@ -15,6 +15,8 @@ from symdet.combinat import (
 from symdet.exact import POLY_N, Poly, squarefree_part
 from symdet.gram import (
     NoTableauxError,
+    _factorial_parities,
+    _gt_block,
     closed_form_c,
     content_orbits,
     determinant_classes,
@@ -226,18 +228,54 @@ class TestBatch:
         assert symmetrization_determinants([], jobs=2) == []
 
 
+def _gt_class(shape, mu):
+    """GT pattern count and squarefree class of the orbit block of ``mu``."""
+    primes, fact = _factorial_parities(2 * shape.n + 2)
+    count, mask = _gt_block(shape, mu, fact)
+    return count, math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+
+
 class TestDeterminantClasses:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_matches_the_all_block_product(self, jobs):
+    def test_matches_the_all_block_product(self):
         shapes = [s for n in range(2, 8) for s in partitions_of(n)]
         shapes += [P((4, 4)), P((3, 3, 2)), P((2,) + (1,) * 6)]
-        results = determinant_classes(shapes, jobs=jobs)
+        results = determinant_classes(shapes)
         assert [r.shape for r in results] == shapes
         for shape, result in zip(shapes, results):
             full = symmetrization_determinant(shape)
             assert result.c_reduced.reduced_key() == full.c_formula.reduced_key(), shape
             assert result.c_reduced.to_json() == full.c_reduced().to_json(), shape
             assert result.dimension == full.dimension, shape
+
+    def test_gt_norms_match_every_orbit_block(self):
+        orbits = [(s, mu) for n in range(2, 8) for s in partitions_of(n) for mu in content_orbits(s)]
+        assert len(orbits) == 232
+        for shape, mu in orbits:
+            block = gram_block(shape, mu)
+            assert _gt_class(shape, mu) == (block.size, squarefree_part(block.det)[0]), (shape, mu)
+
+    def test_highest_weight_block_is_c_lambda(self):
+        for n in range(1, 9):
+            for shape in partitions_of(n):
+                col_order = math.prod(math.factorial(c) for c in shape.conjugate().parts)
+                row_order = math.prod(math.factorial(r) for r in shape.parts)
+                assert gram_block(shape, shape.parts).det == col_order * row_order**2, shape
+
+    def test_matches_closed_forms_to_weight_nine(self):
+        shapes = []
+        for n in range(2, 10):
+            shapes += [P((n,)), P((1,) * n)]
+            shapes += [P((ell,) + (1,) * (n - ell)) for ell in (2, 3) if ell < n]
+        for shape, result in zip(shapes, determinant_classes(shapes)):
+            assert result.c_reduced == closed_form_c(shape).reduced(), shape
+
+    def test_builds_no_block(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the class path built a Gram block")
+
+        monkeypatch.setattr("symdet.gram.gram_block", forbidden)
+        monkeypatch.setattr("symdet.gram.bareiss_det", forbidden)
+        assert len(determinant_classes([s for n in range(2, 8) for s in partitions_of(n)])) == 43
 
     def test_rearranged_patterns_agree_modulo_squares(self):
         for n in range(2, 7):
@@ -254,7 +292,7 @@ class TestDeterminantClasses:
                         assert got == expected, (shape, pattern)
 
     def test_empty_and_invalid(self):
-        assert determinant_classes([], jobs=2) == []
+        assert determinant_classes([]) == []
         with pytest.raises(ValueError):
             determinant_classes([P(())])
 
