@@ -236,13 +236,14 @@ def _gt_class(shape, mu):
 
 
 class TestDeterminantClasses:
-    def test_matches_the_all_block_product(self):
+    @pytest.mark.parametrize("oracle_jobs", [1, 2])
+    def test_matches_the_all_block_product(self, oracle_jobs):
         shapes = [s for n in range(2, 8) for s in partitions_of(n)]
         shapes += [P((4, 4)), P((3, 3, 2)), P((2,) + (1,) * 6)]
         results = determinant_classes(shapes)
         assert [r.shape for r in results] == shapes
-        for shape, result in zip(shapes, results):
-            full = symmetrization_determinant(shape)
+        oracle = symmetrization_determinants(shapes, jobs=oracle_jobs)
+        for shape, result, full in zip(shapes, results, oracle):
             assert result.c_reduced.reduced_key() == full.c_formula.reduced_key(), shape
             assert result.c_reduced.to_json() == full.c_reduced().to_json(), shape
             assert result.dimension == full.dimension, shape
