@@ -315,11 +315,9 @@ def poly_factor_rational(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Pol
     if zeros:
         ints = ints[zeros:]
         factors.append((POLY_N, zeros))
+    numerators = sorted(_divisors(abs(ints[0])))
     candidates = [
-        (r, q)
-        for q in sorted(_divisors(ints[-1]))
-        for r in sorted(_divisors(abs(ints[0])))
-        if math.gcd(r, q) == 1
+        (r, q) for q in sorted(_divisors(ints[-1])) for r in numerators if math.gcd(r, q) == 1
     ]
     for r, q in candidates:
         for root in (r, -r):

@@ -44,7 +44,13 @@ from .combinat import (
     ssyt_with_pattern,
 )
 from .exact import POLY_N, Binomials, Poly, SquareClassFormula, bareiss_det
-from .symmetrizer import column_classes, row_sum, word_of_tableau
+from .symmetrizer import (
+    column_classes,
+    free_tail,
+    row_sum_sorted_tail,
+    stabilizer_order,
+    word_of_tableau,
+)
 
 
 class NoTableauxError(ValueError):
@@ -75,30 +81,50 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     Entry (s,t) is <e u_s, e u_t> = |C| * <R u_s, C R u_t> for tableau
     words u, since e = C*R with R* = R, C* = C and C^2 = |C|*C.  With
     a = column_classes(R u) that is |C| * sum_key a_s[key] * a_t[key], so
-    no entry expands the column group; the determinant comes from
-    fraction-free elimination over the integers.
+    no entry expands the column group.
+
+    Row 1's last f = lambda_1 - lambda_2 boxes lie in columns of length 1,
+    which no element of C moves, so a_s[key] does not change when the
+    letters of that free tail are reordered.  Only the keys with a sorted
+    tail are built (``row_sum_sorted_tail``), and each counts
+    w(key) = f! / prod m_x! times, the number of orderings of its tail
+    multiset:
+
+        entry(s,t) = |C| * sum_key a_s[key] * a_t[key] * w(key).
+
+    Every entry is a multiple of |C|, so the determinant is
+    |C|^size times the fraction-free (Bareiss) determinant of the
+    |C|-free matrix.
     """
     tableaux = ssyt_with_pattern(shape, pattern)
     if not tableaux:
         raise NoTableauxError(f"no tableaux for shape {shape} pattern {pattern}")
     frame = frame_of(shape)
     classes = [
-        column_classes(shape, row_sum(shape, {word_of_tableau(frame, t): 1}))
+        column_classes(shape, row_sum_sorted_tail(shape, {word_of_tableau(frame, t): 1}))
         for t in tableaux
     ]
-    col_order = math.prod(math.factorial(len(col)) for col in frame.cols)
+    weighted = classes
+    free = free_tail(shape)
+    if free > 1:
+        tail = slice(shape.parts[0] - free, shape.parts[0])
+        w = {
+            letters: math.factorial(free) // stabilizer_order(letters)
+            for letters in {key[tail] for a in classes for key in a}
+        }
+        weighted = [{key: c * w[key[tail]] for key, c in a.items()} for a in classes]
     size = len(classes)
-    matrix = [[0] * size for _ in range(size)]
+    reduced = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            a, b = classes[i], classes[j]
+            a, b = classes[i], weighted[j]
             if len(b) < len(a):
-                a, b = b, a
-            v = col_order * sum(c * b.get(key, 0) for key, c in a.items())
-            matrix[i][j] = v
-            matrix[j][i] = v
-    det = bareiss_det(matrix)
-    return GramBlock(shape, pattern, tuple(tuple(row) for row in matrix), det)
+                a, b = classes[j], weighted[i]
+            reduced[i][j] = reduced[j][i] = sum(c * b.get(key, 0) for key, c in a.items())
+    col_order = math.prod(math.factorial(len(col)) for col in frame.cols)
+    matrix = tuple(tuple(col_order * v for v in row) for row in reduced)
+    det = col_order**size * bareiss_det(reduced)
+    return GramBlock(shape, pattern, matrix, det)
 
 
 @dataclass

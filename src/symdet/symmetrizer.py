@@ -16,6 +16,18 @@ on the other words, so <x, C y> = sgn(x) sgn(y) when x and y share a
 column-sorted form and 0 otherwise; hence <R u, C R v> is the plain dot
 product of the class coefficients of R u and R v, which is how the Gram
 layer uses it.  ``column_sum`` expands each class once through C.
+
+The free tail of a shape is row 1's last f = lambda_1 - lambda_2 boxes,
+the boxes in columns of length 1 (the whole row for a one-row shape).
+No element of C moves them, so two words of R u that differ only in
+the order of their tail letters have equal class coefficients.  Hence
+
+    sum_key a[key] * b[key] = sum_{key with sorted tail} a[key] * b[key] * w(key)
+
+for a, b the classes of R u and R v, with w(key) = f! / prod m_x! the
+number of distinct orderings of the key's tail multiset.
+``row_sum_sorted_tail`` lists only the sorted-tail words of R u: in row
+1 the distinct orderings of the first lambda_2 letters, the tail sorted.
 """
 
 from __future__ import annotations
@@ -133,20 +145,63 @@ def _column_group(shape: Partition):
     )
 
 
-def _orderings(row: Word, memo: dict[Word, list[Word]]) -> list[Word]:
-    """Distinct orderings of the sorted letters ``row``, memoized in ``memo``."""
-    out = memo.get(row)
+def _orderings(row: Word, k: int, memo: dict[tuple[Word, int], list[Word]]) -> list[Word]:
+    """Distinct orderings of the sorted letters ``row`` whose places past k stay sorted.
+
+    Each word is an ordered choice of k of the letters followed by the
+    rest in sorted order; k = len(row) gives every distinct ordering.
+    Memoized in ``memo``.
+    """
+    out = memo.get((row, k))
     if out is None:
-        if len(set(row)) == len(row):
+        if not k:
+            out = [row]
+        elif k >= len(row) - 1 and len(set(row)) == len(row):
             out = list(itertools.permutations(row))
         else:
             out = [
                 (x,) + tail
                 for i, x in enumerate(row)
                 if not i or x != row[i - 1]
-                for tail in _orderings(row[:i] + row[i + 1:], memo)
+                for tail in _orderings(row[:i] + row[i + 1:], k - 1, memo)
             ]
-        memo[row] = out
+        memo[(row, k)] = out
+    return out
+
+
+def stabilizer_order(row: Word) -> int:
+    """Order of the stabilizer of the sorted letters ``row``: prod m! over their multiplicities m."""
+    return math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(row))
+
+
+def free_tail(shape: Partition) -> int:
+    """f = lambda_1 - lambda_2, the number of boxes in columns of length 1.
+
+    They are row 1's last f boxes: no column element moves them.
+    """
+    return shape.parts[0] - (shape.parts[1] if len(shape.parts) > 1 else 0)
+
+
+def _row_sum(shape: Partition, terms: dict[Word, Coeff], free: int) -> dict[Word, Coeff]:
+    """R*x restricted to the words whose last ``free`` letters of row 1 are sorted."""
+    segs, _ = _symmetrizer_tables(shape)
+    classes: dict[Word, Coeff] = {}
+    for word, coeff in terms.items():
+        key = tuple(x for a, b in segs for x in sorted(word[a:b]))
+        classes[key] = classes.get(key, 0) + coeff
+    memo: dict[tuple[Word, int], list[Word]] = {}
+    out: dict[Word, Coeff] = {}
+    for key, coeff in classes.items():
+        if not coeff:
+            continue
+        words: list[Word] = [()]
+        for i, (a, b) in enumerate(segs):
+            row = key[a:b]
+            coeff *= stabilizer_order(row)
+            orders = _orderings(row, b - a - free if i == 0 else b - a, memo)
+            words = [w + o for w in words for o in orders]
+        for w in words:
+            out[w] = coeff
     return out
 
 
@@ -159,24 +214,17 @@ def row_sum(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
     every combination), where |Stab(w)| is the product of m! over the
     letter multiplicities m of each row.  Distinct orbits share no word.
     """
-    segs, _ = _symmetrizer_tables(shape)
-    classes: dict[Word, Coeff] = {}
-    for word, coeff in terms.items():
-        key = tuple(x for a, b in segs for x in sorted(word[a:b]))
-        classes[key] = classes.get(key, 0) + coeff
-    memo: dict[Word, list[Word]] = {}
-    out: dict[Word, Coeff] = {}
-    for key, coeff in classes.items():
-        if not coeff:
-            continue
-        words: list[Word] = [()]
-        for a, b in segs:
-            orders = _orderings(key[a:b], memo)
-            coeff *= math.factorial(b - a) // len(orders)
-            words = [w + o for w in words for o in orders]
-        for w in words:
-            out[w] = coeff
-    return out
+    return _row_sum(shape, terms, 0)
+
+
+def row_sum_sorted_tail(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
+    """The terms of R*x whose free tail (see :func:`free_tail`) is sorted.
+
+    R*x is invariant under reordering the free tail, and so are its column
+    classes, so R*x is this sum expanded over the distinct orderings of
+    each word's tail.  Equals :func:`row_sum` when f <= 1.
+    """
+    return _row_sum(shape, terms, free_tail(shape))
 
 
 def column_classes(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:

@@ -228,6 +228,12 @@ class TestPinnedOutput:
              "12c9c4c9021b2fa3c261e6b990086b6094d6181705e623b92eab72d6557e5f0b"),
             (("--format", "json", "table", "--n", "9"),
              "c04e1a6162e7c755f513e2e70eace153e9f15685374bedea936e82965f47755b"),
+            (("--format", "json", "sym", "9"),
+             "5f55109b99288797bf6d1780a60d0c126a6085714fc5bd1698753537367a8b68"),
+            (("--format", "json", "sym", "7,1"),
+             "bf0377f65d2b35bf79bb5bcdaf3da91dd34f6a9c5e778e923a4cea87f6c5e951"),
+            (("--format", "json", "sym", "6,2"),
+             "bf5bdad3961e69436f5f58535a43b918abcb0caf5c07413e760ef878884d159e"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

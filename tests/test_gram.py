@@ -12,7 +12,7 @@ from symdet.combinat import (
     partitions_of,
     ssyt_with_pattern,
 )
-from symdet.exact import POLY_N, Poly, squarefree_part
+from symdet.exact import POLY_N, Poly, bareiss_det, squarefree_part
 from symdet.gram import (
     NoTableauxError,
     _factorial_parities,
@@ -126,22 +126,31 @@ class TestBlockDiagonalStructure:
                                 assert entry == expect, (shape, N, content)
 
 
+def _assert_blocks_match_full_image_products(shape):
+    frame = frame_of(shape)
+    for pattern in patterns_of(shape):
+        images = [
+            apply_symmetrizer(frame, word_of_tableau(frame, t))
+            for t in ssyt_with_pattern(shape, pattern)
+        ]
+        expected = tuple(tuple(inner_product_reduced(u, v) for v in images) for u in images)
+        block = gram_block(shape, pattern)
+        assert block.matrix == expected, (shape, pattern)
+        assert block.det == bareiss_det([list(row) for row in expected]), (shape, pattern)
+
+
 class TestAdjointIdentity:
     def test_blocks_match_full_image_products(self):
-        # gram_block computes |C| * <R u, e v>; the reference is <e u, e v>
-        # over the full symmetrizer images
+        # gram_block computes |C| * <R u, e v> from the sorted-tail classes;
+        # the reference is <e u, e v> over the full symmetrizer images
         for n in range(2, 8):
             for shape in partitions_of(n):
-                frame = frame_of(shape)
-                for pattern in patterns_of(shape):
-                    images = [
-                        apply_symmetrizer(frame, word_of_tableau(frame, t))
-                        for t in ssyt_with_pattern(shape, pattern)
-                    ]
-                    expected = tuple(
-                        tuple(inner_product_reduced(u, v) for v in images) for u in images
-                    )
-                    assert gram_block(shape, pattern).matrix == expected, (shape, pattern)
+                _assert_blocks_match_full_image_products(shape)
+
+    @pytest.mark.parametrize("parts", [(8,), (5, 1, 1, 1)])
+    def test_blocks_match_full_image_products_at_weight_8(self, parts):
+        # one row (the whole row is free tail) and a hook with a tail of 4
+        _assert_blocks_match_full_image_products(P(parts))
 
 
 class TestNoGroupExpansion:

@@ -18,9 +18,11 @@ from symdet.symmetrizer import (
     apply_symmetrizer_to_sum,
     column_classes,
     column_sum,
+    free_tail,
     idempotent_scale,
     inner_product_reduced,
     row_sum,
+    row_sum_sorted_tail,
     symmetrize,
     word_of_tableau,
 )
@@ -251,6 +253,28 @@ def test_column_classes_expand_to_signed_column_sum(shape, data):
     classes = column_classes(shape, terms)
     assert _naive_sum(cols, classes, shape.n, signed=True) == expected
     assert column_sum(shape, terms) == expected
+
+
+TAILED = [p for n in range(2, 7) for p in partitions_of(n) if free_tail(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TAILED), st.data())
+def test_sorted_tail_classes_expand_to_all_classes(shape, data):
+    # no column element moves the free tail, so each class of R x is a
+    # sorted-tail class with its tail letters reordered
+    terms = _draw_terms(data, shape)
+    end = shape.parts[0]
+    start = end - free_tail(shape)
+    expanded = {}
+    count = 0
+    for key, coeff in column_classes(shape, row_sum_sorted_tail(shape, terms)).items():
+        assert list(key[start:end]) == sorted(key[start:end])
+        for tail in set(itertools.permutations(key[start:end])):
+            expanded[key[:start] + tail + key[end:]] = coeff
+            count += 1
+    assert count == len(expanded)
+    assert expanded == column_classes(shape, row_sum(shape, terms))
 
 
 TALL = [p for p in SHAPES if len(p.parts) > 1]
