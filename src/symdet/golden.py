@@ -13,7 +13,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .combinat import Partition, partitions_of
+from .combinat import Partition, dominates, partitions_of
 from .exact import Binomials, Poly, SquareClassFormula, squarefree_part
 from .gram import determinant_classes, gram_block
 from .refined import refined_decomposition
@@ -103,6 +103,8 @@ def _parse_golden(doc: dict) -> GoldenTables:
         shape_s, pat_s = key.split("|")
         shape = Partition(tuple(int(x) for x in shape_s.split(",")))
         pattern = tuple(int(x) for x in pat_s.split(","))
+        if min(pattern) < 1 or sum(pattern) != shape.n or not dominates(shape, pattern):
+            raise ValueError(f"matrix key {key!r} names a pattern with no tableau of its shape")
         matrices[(shape, pattern)] = tuple(tuple(row) for row in mat)
     coupling = tuple(
         tuple(Poly(entry) for entry in row) for row in doc["coupling_42_2"]["matrix"]

@@ -16,22 +16,21 @@ image e V^(x)n is the irreducible module S_lambda(V), so the form is
 c_lambda times the contravariant form under which the Gelfand-Tsetlin
 basis is orthogonal, with the closed-form norms of Molev,
 "Gelfand-Tsetlin bases for classical Lie algebras" (Handbook of
-Algebra 4, 2006, arXiv:math/0211289), Thm 2.7.  The tableau images and
-the GT vectors of weight mu are both rational bases of the mu weight
-space, so det(block_mu) equals c_lambda^K times the product of the K
-GT norms up to a rational square.  A rearrangement of mu is reached by
-a permutation of the basis letters, an isometry commuting with e, so
-it has the same class and the same C(N, len mu).
+Algebra 4, 2006, arXiv:math/0211289), Thm 2.7.  The tableau images
+and the GT vectors are both rational bases, so at a concrete N = m the
+class of the whole form is c_lambda^dim times the product of every GT
+norm with top row lambda padded to m.  Its values at m = 0..n fix the
+C(N,k) exponents.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby
+from functools import lru_cache, reduce
+from itertools import groupby, product
+from operator import xor
 
 from .combinat import (
     Partition,
@@ -40,7 +39,6 @@ from .combinat import (
     dimension_poly,
     dominates,
     frame_of,
-    partitions_of,
     ssyt_with_pattern,
 )
 from .exact import POLY_N, Binomials, Poly, SquareClassFormula, bareiss_det
@@ -153,16 +151,6 @@ def patterns_of(shape: Partition) -> list[Pattern]:
     return [p for p in compositions_of(shape.n) if dominates(shape, p)]
 
 
-def content_orbits(shape: Partition) -> dict[Pattern, int]:
-    """Non-increasing patterns with a tableau, each with its number of rearrangements."""
-    return {
-        mu.parts: math.factorial(len(mu))
-        // math.prod(math.factorial(m) for m in Counter(mu.parts).values())
-        for mu in partitions_of(shape.n)
-        if dominates(shape, mu.parts)
-    }
-
-
 def _blocks_by_shape(shapes: list[Partition], jobs: int) -> dict[Partition, list[GramBlock]]:
     """``gram_block`` of each distinct shape with each of its patterns.
 
@@ -211,35 +199,53 @@ def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
 def determinant_classes(shapes: list[Partition]) -> list[DetClass]:
     """Reduced determinant class and dimension of each shape, in input order.
 
-    Reads each content orbit's block class from Gelfand-Tsetlin norms
-    (Molev, Thm 2.7) instead of building the block.  With B orthonormal
-    the form on e V^(x)n ~ S_lambda(V) is gl_N-contravariant, hence
-    c_lambda times the form in which the GT basis is orthogonal, and
-    both bases of the mu weight space are rational.  So
+    Reads the class from Gelfand-Tsetlin norms (Molev, Thm 2.7) instead
+    of building a block.  With B orthonormal the form on
+    e V^(x)n ~ S_lambda(V) is gl_N-contravariant, hence c_lambda times
+    the form in which the GT basis is orthogonal, and both bases are
+    rational.  So at N = m
 
-        det(block_mu) = c_lambda^K * prod_Lambda <xi_Lambda, xi_Lambda>
+        class(m) = c_lambda^dim * prod_Lambda <xi_Lambda, xi_Lambda>
 
-    modulo rational squares, over the K GT patterns Lambda of top row
-    lambda and weight mu, where c_lambda = |C| * (prod lambda_i!)^2 is
-    the block of mu = lambda.  The class is the reduction of
-    prod (block class)^(r(mu) * C(N, len mu)) over the non-increasing
-    patterns mu with a tableau, where r(mu) counts their rearrangements.
-    Only exponent parities are tracked, as bitmasks over the primes up
-    to 2n + 2.
+    modulo rational squares, over the dim GT patterns Lambda with top row
+    lambda padded to m, where c_lambda = |C| * (prod lambda_i!)^2.  One
+    memoized recursion over GT rows, shared by every shape, gives for
+    each row the parity of the number of patterns below it and the XOR of
+    their norm parities; a row's patterns are those of each interlacing
+    row b below it, each times the step norm of (row, b).
+
+    class(m) is the product of det(block_mu)^C(m,k) over the patterns
+    mu with k distinct letters, so its exponents are e(m) = sum_k
+    C(m,k) a_k and binomial inversion gives a_k = sum_{i<=k} C(k,i) e(i)
+    modulo 2.  Only exponent parities are tracked, as bitmasks over the
+    primes up to 2n + 2.
     """
     if any(shape.n < 1 for shape in shapes):
         raise ValueError("need a partition of n >= 1")
     primes, fact = _factorial_parities(2 * max((shape.n for shape in shapes), default=0) + 2)
+
+    @lru_cache(maxsize=None)  # lives for this call, shared by every shape in it
+    def below(row: tuple[int, ...]) -> tuple[int, int]:
+        """Parity of the GT pattern count under ``row`` and the XOR of their norm masks."""
+        if len(row) == 1:
+            return 1, 0
+        count = mask = 0
+        for b in product(*(range(low, high + 1) for high, low in zip(row, row[1:]))):
+            b_count, b_mask = below(b)
+            count ^= b_count
+            mask ^= b_mask ^ (_norm_step(row, b, fact) if b_count else 0)
+        return count, mask
+
     results = {}
     for shape in dict.fromkeys(shapes):
-        by_length: dict[int, int] = {}  # len mu -> parity mask of the product over mu
-        for mu, rearrangements in content_orbits(shape).items():
-            if rearrangements % 2:
-                by_length[len(mu)] = by_length.get(len(mu), 0) ^ _gt_block(shape, mu, fact)[1]
+        c_mask = reduce(xor, (fact[col] for col in shape.conjugate().parts))  # c_lambda ~ |C|
+        e = [0] * len(shape)  # S_lambda(Q^m) = 0 for m < len(lambda)
+        for m in range(len(shape), shape.n + 1):
+            count, mask = below(shape.parts + (0,) * (m - len(shape)))
+            e.append(mask ^ (c_mask if count else 0))
+        a = [reduce(xor, (e[i] for i in range(k + 1) if math.comb(k, i) % 2)) for k in range(len(e))]
         c_reduced = SquareClassFormula({
-            p: e
-            for i, p in enumerate(primes)
-            if (e := Binomials(by_length.get(k, 0) >> i & 1 for k in range(shape.n + 1)))
+            p: exps for j, p in enumerate(primes) if (exps := Binomials(a_k >> j & 1 for a_k in a))
         })
         results[shape] = DetClass(shape, c_reduced, dimension_poly(shape))
     return [results[shape] for shape in shapes]
@@ -263,53 +269,6 @@ def _factorial_parities(top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             mask |= (v & 1) << i
         masks.append(mask)
     return primes, tuple(masks)
-
-
-def _gt_block(shape: Partition, mu: Pattern, fact: tuple[int, ...]) -> tuple[int, int]:
-    """GT pattern count K and parity mask of c_lambda^K * prod <xi, xi> for weight mu.
-
-    Patterns are built a row at a time from the top row lambda (padded
-    to len mu) down, row m - 1 interlacing row m and summing to
-    mu_1 + ... + mu_(m-1).  Each row carries the number of partial
-    patterns ending in it and the XOR of their norm parities, so the
-    patterns are never listed.  ``fact[x]`` is the parity mask of x!.
-    """
-    top = shape.parts + (0,) * (len(mu) - len(shape))
-    rows = {top: (1, 0)}
-    total = shape.n
-    for m in range(len(mu), 1, -1):
-        total -= mu[m - 1]
-        below_rows: dict[tuple[int, ...], tuple[int, int]] = {}
-        for row, (count, mask) in rows.items():
-            for below in _interlacing(row, total):
-                step = _norm_step(row, below, fact) if count % 2 else 0
-                prev_count, prev_mask = below_rows.get(below, (0, 0))
-                below_rows[below] = (prev_count + count, prev_mask ^ mask ^ step)
-        rows = below_rows
-    [(count, mask)] = rows.values()
-    if count % 2:
-        for col in shape.conjugate().parts:  # c_lambda = |C| modulo squares
-            mask ^= fact[col]
-    return count, mask
-
-
-def _interlacing(row: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
-    """Rows b with row[i] >= b[i] >= row[i + 1] and sum(b) == total."""
-    out: list[tuple[int, ...]] = []
-    last = len(row) - 1
-
-    def extend(i: int, prefix: tuple[int, ...], left: int) -> None:
-        if i == last:
-            if left == 0:
-                out.append(prefix)
-            return
-        low = max(row[i + 1], left - sum(row[i + 1:last]))
-        high = min(row[i], left - sum(row[i + 2:]))
-        for b in range(low, high + 1):
-            extend(i + 1, prefix + (b,), left - b)
-
-    extend(0, (), total)
-    return out
 
 
 def _norm_step(row: tuple[int, ...], below: tuple[int, ...], fact: tuple[int, ...]) -> int:

@@ -5,8 +5,8 @@ from importlib import resources
 import pytest
 
 from symdet.cli import main, parse_partition
-from symdet.combinat import Partition, partitions_of
-from symdet.gram import content_orbits, gram_block, patterns_of
+from symdet.combinat import Partition
+from symdet.gram import gram_block, patterns_of
 
 
 def run(capsys, *argv):
@@ -115,12 +115,8 @@ class TestTableCommand:
         gram_block.cache_clear()
         code, _ = run(capsys, "--jobs", "1", "--format", "json", "table", "--n", "7")
         assert code == 0
-        # the classes come from Gelfand-Tsetlin norms, one per content orbit, with no block built
+        # the classes come from Gelfand-Tsetlin norms, with no block built
         assert gram_block.cache_info().currsize == 0
-        orbits = [(s, mu) for n in range(2, 8) for s in partitions_of(n) for mu in content_orbits(s)]
-        assert len(orbits) == 232
-        for shape, mu in orbits:
-            assert list(mu) == sorted(mu, reverse=True)
 
 
 class TestRefinedCommand:
@@ -184,10 +180,14 @@ class TestVerifyCommand:
             _edited_golden(
                 lambda doc: doc["symmetrizations"][0].update(det_class=[[2**89 - 1, [2]]])
             ),
+            _edited_golden(lambda doc: doc["matrices"].update({"2,1|3": [[1]]})),
+            _edited_golden(lambda doc: doc["matrices"].update({"2,1|1,1": [[1]]})),
+            _edited_golden(lambda doc: doc["matrices"].update({"2,1|0,3": [[1]]})),
         ],
         ids=[
             "missing", "not-json", "no-tables", "wrong-structure",
             "zero-den", "uncertifiable-constant", "uncertifiable-base",
+            "undominated-pattern", "pattern-off-weight", "zero-part-pattern",
         ],
     )
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):
