@@ -3,8 +3,8 @@
 Subcommands: ``sym`` for one symmetrization, ``table`` for all shapes
 up to a weight, ``refined`` for the orthogonal-group decomposition and
 ``verify`` to diff the engine against the embedded reference tables.
-Every command accepts ``--format text|json|latex``; output is fully
-deterministic for a given invocation.
+Every command accepts ``--format text|json|latex`` (``verify`` prints
+text whatever the format); output is deterministic for an invocation.
 """
 
 from __future__ import annotations

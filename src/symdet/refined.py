@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import Partition, frame_of, littlewood_multiplicity, partitions_of
+from .combinat import Partition, littlewood_multiplicity, partitions_of
 from .exact import (
     POLY_N,
     Binomials,
@@ -38,13 +38,7 @@ from .exact import (
     squarefree_part,
 )
 from .gram import determinant_classes
-from .symmetrizer import (
-    SignedWordSum,
-    apply_symmetrizer,
-    column_sum,
-    row_sum,
-    symmetrize,
-)
+from .symmetrizer import column_sum, row_sum, symmetrize
 
 Word = tuple[int, ...]
 Chain = tuple[tuple[int, int], ...]
@@ -79,10 +73,6 @@ class ConcreteTensor:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    @staticmethod
-    def from_word_sum(s: SignedWordSum, dim: int) -> "ConcreteTensor":
-        return ConcreteTensor(s.shape.n, dim, {w: Fraction(c) for w, c in s.terms.items()})
 
 
 def phi_insert(t: ConcreteTensor, i: int, j: int) -> ConcreteTensor:
@@ -169,8 +159,8 @@ def reference_vector(gamma: Partition, dim: int) -> ConcreteTensor:
     if dim < m:
         raise ValueError("ambient dimension too small for the reference vector")
     word = tuple(range(1, m + 1))
-    img = apply_symmetrizer(frame_of(gamma), word)
-    return ConcreteTensor.from_word_sum(img, dim)
+    terms = symmetrize(gamma, {word: 1})
+    return ConcreteTensor(m, dim, {w: Fraction(c) for w, c in terms.items()})
 
 
 def constituent_gram(

@@ -5,7 +5,9 @@ position i).  The symmetrizer of a shape is e = C*R, the signed sum C
 over its column group after the sum R over its row group; applying it
 to a word yields a signed integer combination of words with the same
 letter multiset.  One kernel, ``symmetrize``, implements it for every
-caller over plain ``dict[word, coeff]`` combinations.
+caller.  A plain ``dict[word, coeff]`` is the only word-sum type, and
+every sign here is one rule: the parity of the inversions of a column's
+letters or positions.
 
 Neither half walks a whole group per word.  ``row_sum`` merges words by
 row-sorted form and lists each orbit as its distinct words, weighted by
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -43,78 +44,6 @@ from .combinat import Partition, TableauFrame, frame_of
 
 Word = tuple[int, ...]
 Coeff = int | Fraction
-
-
-@dataclass
-class SignedWordSum:
-    """Sparse integer combination of equal-length words."""
-
-    shape: Partition
-    terms: dict[Word, int] = field(default_factory=dict)
-
-    def add(self, word: Word, coeff: int) -> None:
-        c = self.terms.get(word, 0) + coeff
-        if c:
-            self.terms[word] = c
-        else:
-            self.terms.pop(word, None)
-
-    def scaled(self, c: int) -> "SignedWordSum":
-        if c == 0:
-            return SignedWordSum(self.shape)
-        return SignedWordSum(self.shape, {w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignedWordSum)
-            and self.shape == other.shape
-            and self.terms == other.terms
-        )
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _block_permutations(blocks: tuple[tuple[int, ...], ...], n: int):
-    """All permutations fixing each block setwise, as inverse index tuples.
-
-    Yields (inverse, sign) pairs; applying g to a word w is
-    tuple(w[inverse[i]] for i) since position i of g*w receives the
-    letter from position g^{-1}(i).
-    """
-    per_block = []
-    for block in blocks:
-        if len(block) < 2:
-            continue
-        per_block.append([(block, perm) for perm in itertools.permutations(block)])
-    if not per_block:
-        yield tuple(range(n)), 1
-        return
-    for combo in itertools.product(*per_block):
-        perm = list(range(n))
-        for block, images in combo:
-            for src, dst in zip(block, images):
-                perm[src] = dst
-        perm_t = tuple(perm)
-        sign = _perm_sign(perm_t)
-        inverse = [0] * n
-        for i, p in enumerate(perm_t):
-            inverse[p] = i
-        yield tuple(inverse), sign
 
 
 @lru_cache(maxsize=None)
@@ -134,15 +63,26 @@ def _symmetrizer_tables(shape: Partition):
 def _column_group(shape: Partition):
     """Signed getters of the column group; a getter maps a word to its image.
 
-    Only :func:`column_sum` builds these.  With no column of length >= 2
-    the group is trivial and ``tuple`` is the identity.
+    Only :func:`column_sum` builds these.  An element sends the positions
+    of each column to one of their orderings, and its sign is the
+    inversion parity of those images, the sign :func:`column_classes`
+    gives a sort.  With no column of length >= 2 the group is trivial and
+    ``tuple`` is the identity.
     """
-    frame = frame_of(shape)
-    if all(len(col) < 2 for col in frame.cols):
+    _, readers = _symmetrizer_tables(shape)
+    if not readers:
         return ((tuple, 1),)
-    return tuple(
-        (itemgetter(*inv), sign) for inv, sign in _block_permutations(frame.cols, shape.n)
-    )
+    cols = [col for col, _ in readers]
+    group = []
+    for images in itertools.product(*map(itertools.permutations, cols)):
+        source = list(range(shape.n))
+        inversions = 0
+        for col, image in zip(cols, images):
+            inversions += sum(a > b for a, b in itertools.combinations(image, 2))
+            for src, dst in zip(col, image):
+                source[dst] = src
+        group.append((itemgetter(*source), -1 if inversions % 2 else 1))
+    return tuple(group)
 
 
 def _orderings(row: Word, k: int, memo: dict[tuple[Word, int], list[Word]]) -> list[Word]:
@@ -281,35 +221,3 @@ def word_of_tableau(frame: TableauFrame, tableau: tuple[tuple[int, ...], ...]) -
     if tuple(len(r) for r in tableau) != frame.shape.parts:
         raise ValueError("tableau shape does not match the frame")
     return tuple(x for row in tableau for x in row)
-
-
-def apply_symmetrizer(frame: TableauFrame, word: Word) -> SignedWordSum:
-    """Signed double orbit sum of the word under the frame's groups.
-
-    The row group acts first, the signed column group second; the
-    coefficient of each image word is accumulated exactly.
-    """
-    if len(word) != frame.shape.n:
-        raise ValueError("word length must equal the shape weight")
-    return SignedWordSum(frame.shape, symmetrize(frame.shape, {word: 1}))
-
-
-def inner_product_reduced(u: SignedWordSum, v: SignedWordSum) -> int:
-    """Coefficientwise dot product (orthonormal model, q-factor removed)."""
-    if u.shape != v.shape:
-        raise ValueError("mismatched shapes")
-    a, b = u.terms, v.terms
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(c * b.get(w, 0) for w, c in a.items())
-
-
-def apply_symmetrizer_to_sum(shape: Partition, s: SignedWordSum) -> SignedWordSum:
-    return SignedWordSum(shape, symmetrize(shape, s.terms))
-
-
-def idempotent_scale(shape: Partition) -> int:
-    """e^2 = scale * e; equals n! / (number of standard fillings)."""
-    from .combinat import standard_tableau_count
-
-    return math.factorial(shape.n) // standard_tableau_count(shape)

@@ -34,13 +34,7 @@ from symdet.refined import (
     pi_contract,
     refined_decomposition,
 )
-from symdet.symmetrizer import (
-    apply_symmetrizer,
-    apply_symmetrizer_to_sum,
-    idempotent_scale,
-    inner_product_reduced,
-    word_of_tableau,
-)
+from symdet.symmetrizer import symmetrize, word_of_tableau
 
 P = Partition
 GOLDEN = load_golden()
@@ -156,12 +150,11 @@ def test_criterion_5_property_suite():
     # double application scales by n! / standard count (weights 2..5)
     for n in range(2, 6):
         for shape in partitions_of(n):
-            frame = frame_of(shape)
-            scale = idempotent_scale(shape)
+            scale = math.factorial(n) // standard_tableau_count(shape)
             for _ in range(2):
                 word = tuple(rng.randint(1, 4) for _ in range(n))
-                once = apply_symmetrizer(frame, word)
-                assert apply_symmetrizer_to_sum(shape, once) == once.scaled(scale)
+                once = symmetrize(shape, {word: 1})
+                assert symmetrize(shape, once) == {w: scale * c for w, c in once.items()}
 
     # images of tableaux with different letter patterns are orthogonal
     for n in range(2, 6):
@@ -171,12 +164,10 @@ def test_criterion_5_property_suite():
             for pattern in compositions_of(n):
                 tabs = ssyt_with_pattern(shape, pattern)
                 if tabs:
-                    per_pattern.append(
-                        apply_symmetrizer(frame, word_of_tableau(frame, tabs[0]))
-                    )
+                    per_pattern.append(symmetrize(shape, {word_of_tableau(frame, tabs[0]): 1}))
             for i, u in enumerate(per_pattern):
                 for v in per_pattern[i + 1:]:
-                    assert inner_product_reduced(u, v) == 0
+                    assert sum(c * v.get(w, 0) for w, c in u.items()) == 0
 
     # contraction undoes insertion, with a dimension factor
     for _ in range(20):
@@ -303,17 +294,15 @@ def _orthocomplement_class(N, diag):
     frame = frame_of(shape)
     tabs = enumerate_ssyt(shape, N)
     tabs.sort(key=lambda t: tuple(x for row in t for x in row))
-    basis = [
-        dict(apply_symmetrizer(frame, word_of_tableau(frame, t)).terms) for t in tabs
-    ]
+    basis = [symmetrize(shape, {word_of_tableau(frame, t): 1}) for t in tabs]
     d = len(basis)
     # embedded vectors: dual-pair insertion of each base vector, symmetrized
     embedded = []
     for i in range(1, N + 1):
         vec = {}
         for k in range(1, N + 1):
-            img = apply_symmetrizer(frame, (k, k, i))
-            for w, c in img.terms.items():
+            img = symmetrize(shape, {(k, k, i): 1})
+            for w, c in img.items():
                 vec[w] = vec.get(w, Fraction(0)) + Fraction(c, diag[k - 1])
         embedded.append({w: c for w, c in vec.items() if c})
     constraints = [

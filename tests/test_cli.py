@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -167,6 +168,23 @@ class TestVerifyCommand:
         assert "mismatch" in out
         assert out.count("mismatch:") == 1
 
+    def test_wrong_entry_in_a_large_block_fails_fast(self, capsys, tmp_path):
+        # a block this large is compared in lexicographic order only, not
+        # under each of its 16! reorderings
+        mat = [list(row) for row in gram_block(Partition((3, 2, 1)), (1,) * 6).matrix]
+        assert len(mat) == 16
+        mat[0][1] += 1
+        bad = tmp_path / "golden.json"
+        bad.write_text(
+            _edited_golden(lambda doc: doc["matrices"].update({"3,2,1|1,1,1,1,1,1": mat}))
+        )
+        start = time.perf_counter()
+        code, out = run(capsys, "--jobs", "1", "verify", "--scope", "sym", "--golden", str(bad))
+        assert time.perf_counter() - start < 30
+        assert code == 1
+        assert out.count("mismatch:") == 1
+        assert "matrix (3,2,1) pattern (1, 1, 1, 1, 1, 1)" in out
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -183,11 +201,14 @@ class TestVerifyCommand:
             _edited_golden(lambda doc: doc["matrices"].update({"2,1|3": [[1]]})),
             _edited_golden(lambda doc: doc["matrices"].update({"2,1|1,1": [[1]]})),
             _edited_golden(lambda doc: doc["matrices"].update({"2,1|0,3": [[1]]})),
+            _edited_golden(lambda doc: doc["matrices"].update({"2,1|1,1,1": [[4, -2], [-2]]})),
+            _edited_golden(lambda doc: doc["coupling_42_2"].update(matrix=[[[1], [2]], [[3]]])),
         ],
         ids=[
             "missing", "not-json", "no-tables", "wrong-structure",
             "zero-den", "uncertifiable-constant", "uncertifiable-base",
             "undominated-pattern", "pattern-off-weight", "zero-part-pattern",
+            "ragged-matrix", "ragged-coupling",
         ],
     )
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):
@@ -234,6 +255,12 @@ class TestPinnedOutput:
              "bf0377f65d2b35bf79bb5bcdaf3da91dd34f6a9c5e778e923a4cea87f6c5e951"),
             (("--format", "json", "sym", "6,2"),
              "bf5bdad3961e69436f5f58535a43b918abcb0caf5c07413e760ef878884d159e"),
+            (("--format", "json", "refined", "2,1^5"),
+             "a549668eebab9cffebfd515c54b183f5703899655f296a3d32d4717cc9e4d70f"),
+            (("--format", "json", "refined", "2,2,2,1"),
+             "ef6d1e736beb323c27e286a121ae9179a7833d2999d830b518303af745442a1d"),
+            (("--format", "json", "refined", "3,1^4"),
+             "ea11b80a421eaa04cbcd13f7a063465da74aba4ac269d36abe90648822fd8550"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -13,14 +13,9 @@ from symdet.combinat import (
     standard_tableau_count,
 )
 from symdet.symmetrizer import (
-    SignedWordSum,
-    apply_symmetrizer,
-    apply_symmetrizer_to_sum,
     column_classes,
     column_sum,
     free_tail,
-    idempotent_scale,
-    inner_product_reduced,
     row_sum,
     row_sum_sorted_tail,
     symmetrize,
@@ -29,20 +24,25 @@ from symdet.symmetrizer import (
 
 
 def _sym(shape_parts, word):
-    return apply_symmetrizer(frame_of(Partition(shape_parts)), word)
+    return symmetrize(Partition(shape_parts), {word: 1})
+
+
+def _dot(u, v):
+    """Coefficientwise dot product (orthonormal model)."""
+    return sum(c * v.get(w, 0) for w, c in u.items())
 
 
 class TestWorkedExpansions:
     """The four expansions of the smallest two-row shape, coefficient-exact."""
 
     def test_aab(self):
-        assert _sym((2, 1), (1, 1, 2)).terms == {(1, 1, 2): 2, (2, 1, 1): -2}
+        assert _sym((2, 1), (1, 1, 2)) == {(1, 1, 2): 2, (2, 1, 1): -2}
 
     def test_abb(self):
-        assert _sym((2, 1), (1, 2, 2)).terms == {(1, 2, 2): 1, (2, 2, 1): -1}
+        assert _sym((2, 1), (1, 2, 2)) == {(1, 2, 2): 1, (2, 2, 1): -1}
 
     def test_abc(self):
-        assert _sym((2, 1), (1, 2, 3)).terms == {
+        assert _sym((2, 1), (1, 2, 3)) == {
             (1, 2, 3): 1,
             (3, 2, 1): -1,
             (2, 1, 3): 1,
@@ -50,7 +50,7 @@ class TestWorkedExpansions:
         }
 
     def test_acb(self):
-        assert _sym((2, 1), (1, 3, 2)).terms == {
+        assert _sym((2, 1), (1, 3, 2)) == {
             (1, 3, 2): 1,
             (2, 3, 1): -1,
             (3, 1, 2): 1,
@@ -58,10 +58,10 @@ class TestWorkedExpansions:
         }
 
     def test_antisymmetrizer(self):
-        assert _sym((1, 1), (1, 2)).terms == {(1, 2): 1, (2, 1): -1}
+        assert _sym((1, 1), (1, 2)) == {(1, 2): 1, (2, 1): -1}
 
     def test_column_repeat_vanishes(self):
-        assert _sym((1, 1), (1, 1)).terms == {}
+        assert _sym((1, 1), (1, 1)) == {}
 
 
 class TestWordOfTableau:
@@ -78,23 +78,23 @@ class TestWordOfTableau:
 class TestInnerProduct:
     def test_norm_of_repeated_letter_image(self):
         e = _sym((2, 1), (1, 1, 2))
-        assert inner_product_reduced(e, e) == 8
+        assert _dot(e, e) == 8
 
     def test_cross_term(self):
         u = _sym((2, 1), (1, 2, 3))
         v = _sym((2, 1), (1, 3, 2))
-        assert inner_product_reduced(u, v) == -2
+        assert _dot(u, v) == -2
 
     def test_different_content_orthogonal(self):
         u = _sym((2, 1), (1, 1, 2))
         v = _sym((2, 1), (1, 2, 2))
-        assert inner_product_reduced(u, v) == 0
+        assert _dot(u, v) == 0
 
     def test_symmetric_and_bilinear(self):
         u = _sym((2, 2), (1, 2, 1, 2))
         v = _sym((2, 2), (1, 1, 2, 2))
-        assert inner_product_reduced(u, v) == inner_product_reduced(v, u)
-        assert inner_product_reduced(u.scaled(3), v) == 3 * inner_product_reduced(u, v)
+        assert _dot(u, v) == _dot(v, u)
+        assert _dot({w: 3 * c for w, c in u.items()}, v) == 3 * _dot(u, v)
 
 
 def _random_word(rng, n):
@@ -106,14 +106,12 @@ class TestIdempotentLaw:
         rng = random.Random(20240817)
         for n in range(2, 6):
             for shape in partitions_of(n):
-                frame = frame_of(shape)
-                scale = idempotent_scale(shape)
-                assert scale * standard_tableau_count(shape) == math.factorial(n)
+                scale = math.factorial(n) // standard_tableau_count(shape)
                 for _ in range(3):
                     word = _random_word(rng, n)
-                    once = apply_symmetrizer(frame, word)
-                    twice = apply_symmetrizer_to_sum(shape, once)
-                    assert twice == once.scaled(scale), (shape, word)
+                    once = symmetrize(shape, {word: 1})
+                    twice = symmetrize(shape, once)
+                    assert twice == {w: scale * c for w, c in once.items()}, (shape, word)
 
 
 class TestContentPreservation:
@@ -125,8 +123,8 @@ class TestContentPreservation:
         word = tuple(
             data.draw(st.integers(min_value=1, max_value=4)) for _ in range(shape.n)
         )
-        img = apply_symmetrizer(frame_of(shape), word)
-        for w in img.terms:
+        img = symmetrize(shape, {word: 1})
+        for w in img:
             assert sorted(w) == sorted(word)
 
 
@@ -139,15 +137,13 @@ class TestContentOrthogonality:
                 for pattern in compositions_of(n):
                     for tab in ssyt_with_pattern(shape, pattern):
                         word = word_of_tableau(frame, tab)
-                        images.setdefault(pattern, []).append(
-                            apply_symmetrizer(frame, word)
-                        )
+                        images.setdefault(pattern, []).append(symmetrize(shape, {word: 1}))
                 patterns = sorted(images)
                 for i, p in enumerate(patterns):
                     for q in patterns[i + 1:]:
                         for u in images[p]:
                             for v in images[q]:
-                                assert inner_product_reduced(u, v) == 0
+                                assert _dot(u, v) == 0
 
 
 @settings(max_examples=30)
@@ -159,15 +155,8 @@ def test_no_zero_coefficients_stored(shape, data):
     word = tuple(
         data.draw(st.integers(min_value=1, max_value=3)) for _ in range(shape.n)
     )
-    img = apply_symmetrizer(frame_of(shape), word)
-    assert all(c != 0 for c in img.terms.values())
-
-
-def test_signed_word_sum_add_cancels():
-    s = SignedWordSum(Partition((2,)))
-    s.add((1, 2), 5)
-    s.add((1, 2), -5)
-    assert s.terms == {}
+    img = symmetrize(shape, {word: 1})
+    assert all(c != 0 for c in img.values())
 
 
 def _group(blocks, n):
