@@ -1,16 +1,16 @@
 """Exact determinants of tensor symmetrizations of bilinear forms.
 
-The engine applies the row/column symmetrizer of a shape to tableau
-words, assembles the content-blocked Gram matrices exactly over the
-integers, and reports the determinant of the symmetrized form as a
-closed formula in the ambient dimension N, modulo squares.  For the
+The engine reports the determinant of the symmetrized form of a shape
+as a closed formula in the ambient dimension N, modulo squares: from
+Gelfand-Tsetlin norms for tables, and for one shape from its exact
+content-blocked Gram matrices, none of them cached.  For the
 orthogonal group it further splits each symmetrization into refined
 constituents via paired-insertion embeddings and computes their
 coupling matrices and determinants.
 
 Main entry points
 -----------------
-- :func:`symdet.gram.symmetrization_determinant` / :func:`symdet.gram.symmetrization_determinants`
+- :func:`symdet.gram.symmetrization_determinant` (every Gram block of one shape)
 - :func:`symdet.gram.determinant_classes` (reduced class and dimension only)
 - :func:`symdet.gram.gram_block`
 - :func:`symdet.gram.closed_form_c`
@@ -22,7 +22,7 @@ Main entry points
 
 from .combinat import Partition, compositions_of, dimension_poly, partitions_of
 from .exact import Binomials, Poly, SquareClassFormula, interpolate, poly_factor_rational, squarefree_part
-from .gram import closed_form_c, determinant_classes, gram_block, hook_block_det, symmetrization_determinant, symmetrization_determinants
+from .gram import closed_form_c, determinant_classes, gram_block, hook_block_det, symmetrization_determinant
 from .refined import constituent_gram, constituent_poly, phi_insert, pi_contract, refined_decomposition
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "refined_decomposition",
     "squarefree_part",
     "symmetrization_determinant",
-    "symmetrization_determinants",
 ]
 
 __version__ = "0.1.0"

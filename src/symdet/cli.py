@@ -24,7 +24,7 @@ MAX_TABLE_N = 9
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse ``3,1,1`` or ``3,1^2`` (caret repeats a part)."""
+    """Parse ``3,1,1`` or ``3,1^2`` (caret repeats a part), at most MAX_TABLE_N parts."""
     parts: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -36,6 +36,8 @@ def parse_partition(text: str) -> Partition:
             parts.extend([base] * count)
         else:
             parts.append(int(chunk))
+        if len(parts) > MAX_TABLE_N:
+            raise ValueError(f"more than {MAX_TABLE_N} parts")
     if not parts or any(p <= 0 for p in parts):
         raise ValueError("parts must be positive integers")
     return Partition(parts)
@@ -64,7 +66,7 @@ def _sym_payload(shape: Partition, jobs: int) -> dict:
             "matrix": [list(row) for row in block.matrix],
             "det": str(block.det),
         })
-    reduced = result.c_reduced()
+    reduced = result.c_formula.reduced()
     return {
         "partition": list(shape.parts),
         "n": shape.n,

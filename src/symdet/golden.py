@@ -143,11 +143,11 @@ class VerifyReport:
 
 
 def verify_sym(golden: GoldenTables) -> VerifyReport:
-    """Recompute every table row and worked matrix; diff against golden."""
+    """Recompute every table row, stretch row and worked matrix; diff against golden."""
     mismatches = []
     checked = 0
-    results = determinant_classes([row.partition for row in golden.sym_rows])
-    for row, result in zip(golden.sym_rows, results):
+    rows = golden.sym_rows + golden.stretch_rows
+    for row, result in zip(rows, determinant_classes([row.partition for row in rows])):
         checked += 1
         if result.dimension != row.dimension:
             mismatches.append(

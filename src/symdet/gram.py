@@ -8,9 +8,9 @@ C(N,k).  The determinant class of the whole form is therefore the
 product over patterns of det(block)^C(N,k), times det(B) raised to the
 exact exponent dim * n / N.
 
-:func:`symmetrization_determinants` builds every block for the exact
-product.  :func:`determinant_classes` needs the class modulo rational
-squares only, and builds no block at all.  Take B orthonormal: the
+:func:`symmetrization_determinant` builds every block of one shape for
+the exact product.  :func:`determinant_classes` needs the class modulo
+rational squares only, and builds no block.  Take B orthonormal: the
 tensor form is then contravariant for gl_N (E_ij* = E_ji), and the
 image e V^(x)n is the irreducible module S_lambda(V), so the form is
 c_lambda times the contravariant form under which the Gelfand-Tsetlin
@@ -29,7 +29,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import groupby, product
+from itertools import product
 from operator import xor
 
 from .combinat import (
@@ -72,7 +72,6 @@ class GramBlock:
         return len(self.pattern)
 
 
-@lru_cache(maxsize=None)
 def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     """Exact Gram block of the symmetrized tableau basis for one pattern.
 
@@ -133,9 +132,6 @@ class SymDetResult:
     dimension: Poly
     detB_exponent: Poly
 
-    def c_reduced(self) -> SquareClassFormula:
-        return self.c_formula.reduced()
-
 
 @dataclass(frozen=True)
 class DetClass:
@@ -151,49 +147,31 @@ def patterns_of(shape: Partition) -> list[Pattern]:
     return [p for p in compositions_of(shape.n) if dominates(shape, p)]
 
 
-def _blocks_by_shape(shapes: list[Partition], jobs: int) -> dict[Partition, list[GramBlock]]:
-    """``gram_block`` of each distinct shape with each of its patterns.
+def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
+    """Every Gram block of one shape and the exact determinant formula.
 
-    All blocks go to one pool of min(jobs, cores, blocks) workers, or run
-    serially when that is 1; each shape keeps its patterns' order.
+    The blocks go to one pool of min(jobs, cores, patterns) workers, or
+    are built serially when that is 1; either way they keep the order
+    of ``patterns_of``, and det(block)^C(N,k) is multiplied in it.
     """
-    if any(shape.n < 1 for shape in shapes):
+    if shape.n < 1:
         raise ValueError("need a partition of n >= 1")
-    tasks = [(s, p) for s in dict.fromkeys(shapes) for p in patterns_of(s)]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    patterns = patterns_of(shape)
+    workers = min(jobs, os.cpu_count() or 1, len(patterns))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, len(tasks) // (16 * workers))
+        chunksize = max(1, len(patterns) // (16 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(gram_block, *zip(*tasks), chunksize=chunksize))
+            blocks = list(pool.map(gram_block, [shape] * len(patterns), patterns, chunksize=chunksize))
     else:
-        blocks = [gram_block(s, p) for s, p in tasks]
-    return {shape: list(own) for shape, own in groupby(blocks, key=lambda b: b.shape)}
-
-
-def _det_product(blocks: list[GramBlock]) -> SquareClassFormula:
-    """Product of det(block)^C(N,k) over the blocks."""
-    out = SquareClassFormula.one()
+        blocks = [gram_block(shape, p) for p in patterns]
+    c_formula = SquareClassFormula.one()
     for b in blocks:
-        out = out.times(SquareClassFormula.from_integer(b.det, Binomials.unit(b.k)))
-    return out
-
-
-def symmetrization_determinants(shapes: list[Partition], jobs: int = 1) -> list[SymDetResult]:
-    """Every Gram block and the exact determinant formula of each shape, in input order."""
-    results = {}
-    for shape, blocks in _blocks_by_shape(shapes, jobs).items():
-        dim = dimension_poly(shape)
-        detb = (dim * shape.n).divexact(POLY_N)
-        block_map = {b.pattern: b for b in blocks}
-        results[shape] = SymDetResult(shape, block_map, _det_product(blocks), dim, detb)
-    return [results[shape] for shape in shapes]
-
-
-def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
-    """One shape through :func:`symmetrization_determinants`."""
-    return symmetrization_determinants([shape], jobs)[0]
+        c_formula = c_formula.times(SquareClassFormula.from_integer(b.det, Binomials.unit(b.k)))
+    dim = dimension_poly(shape)
+    detb = (dim * shape.n).divexact(POLY_N)
+    return SymDetResult(shape, {b.pattern: b for b in blocks}, c_formula, dim, detb)
 
 
 def determinant_classes(shapes: list[Partition]) -> list[DetClass]:

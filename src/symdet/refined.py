@@ -334,7 +334,8 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
     both sides relabel alike, so X_a(v) may be moved onto X_a(w0) with
     v replaced by e' e'* w0 = |R'| C' R' C' w0 on the other side: one
     word against one sum, paired by an exact strand count with N
-    symbolic.
+    symbolic.  The scale |C| |R'| / <v,v> is |C| / |C'|, because the
+    |C'| |R'| words c r w0 of v are distinct (C' and R' meet in {id}).
 
     The multiplicity m is known in advance from Littlewood's branching
     rule (``littlewood_multiplicity``); None means it is 0, and nothing
@@ -354,10 +355,9 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
         return None
     j = (n - m) // 2
     w0 = {tuple(range(1, m + 1)): 1}
-    v = symmetrize(gamma, w0)
     v_adj = symmetrize(gamma, column_sum(gamma, w0))
-    orders = math.prod(map(math.factorial, shape.conjugate().parts + gamma.parts))
-    scale = Fraction(orders, sum(c * c for c in v.values()))
+    col_orders = (math.prod(map(math.factorial, p.conjugate().parts)) for p in (shape, gamma))
+    scale = Fraction(*col_orders)
     halves: dict[Chain, tuple[dict[Word, int], dict[Word, int]]] = {}
     entries: dict[tuple[Chain, Chain], Poly] = {}
 
@@ -424,10 +424,6 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
         raise ValueError(f"refined decomposition supported for n <= {MAX_REFINED_N}")
     if n == 0:
         return RefinedResult(shape, [], Poly.const(1), SquareClassFormula.one())
-    if n == 1:
-        f = SquareClassFormula.one()
-        f.detB_exponent = Poly.const(1)
-        return RefinedResult(shape, [], POLY_N, f)
 
     constituents: list[RefinedConstituent] = []
     for j in range(1, n // 2 + 1):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 from importlib import resources
 
@@ -45,6 +46,12 @@ class TestPartitionParsing:
     def test_rejects_repeat_count_before_expanding(self):
         with pytest.raises(ValueError, match="repeat count"):
             parse_partition("1^10000000")
+
+    def test_rejects_too_many_parts_before_expanding_them_all(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 9 parts"):
+            parse_partition(",".join(["1^9"] * 200_000))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSymCommand:
@@ -112,12 +119,15 @@ class TestTableCommand:
             main(["table", "--n", "10"])
         assert exc.value.code == 2
 
-    def test_one_block_per_content_orbit(self, capsys):
-        gram_block.cache_clear()
-        code, _ = run(capsys, "--jobs", "1", "--format", "json", "table", "--n", "7")
-        assert code == 0
+    def test_builds_no_block(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("table built a Gram block")
+
         # the classes come from Gelfand-Tsetlin norms, with no block built
-        assert gram_block.cache_info().currsize == 0
+        monkeypatch.setattr("symdet.gram.gram_block", forbidden)
+        code, out = run(capsys, "--jobs", "1", "--format", "json", "table", "--n", "7")
+        assert code == 0
+        assert len(json.loads(out)) == 43
 
 
 class TestRefinedCommand:
@@ -167,6 +177,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "mismatch" in out
         assert out.count("mismatch:") == 1
+
+    def test_every_stretch_row_is_checked(self, capsys, tmp_path):
+        doc = json.loads(resources.files("symdet.data").joinpath("golden.json").read_text())
+        row = doc["symmetrizations_stretch"][0]
+        base, ks = row["det_class"][0]
+        assert math.isqrt(base) ** 2 != base  # so dropping a k changes the class
+        row["det_class"][0] = [base, ks[1:]]
+        bad = tmp_path / "golden.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run(capsys, "--jobs", "1", "verify", "--scope", "sym", "--golden", str(bad))
+        assert code == 1
+        assert out.count("mismatch:") == 1
+        assert f"sym {Partition(row['partition'])}: class expected" in out
 
     def test_wrong_entry_in_a_large_block_fails_fast(self, capsys, tmp_path):
         # a block this large is compared in lexicographic order only, not
@@ -261,6 +284,13 @@ class TestPinnedOutput:
              "ef6d1e736beb323c27e286a121ae9179a7833d2999d830b518303af745442a1d"),
             (("--format", "json", "refined", "3,1^4"),
              "ea11b80a421eaa04cbcd13f7a063465da74aba4ac269d36abe90648822fd8550"),
+            # no free tail, a free tail of 1, and a three-row shape
+            (("--format", "json", "sym", "3,3,2"),
+             "0afc0222d2b93788090daed6222ace748bae334e0465dba80eabdd76cbdc333a"),
+            (("--format", "json", "sym", "2,1^6"),
+             "15e6e89acde4c70679d7968d38fe596d5e224afc770180f3af9ed26ad12cfe66"),
+            (("--format", "json", "sym", "4,2,1"),
+             "27fb58e00767be3ff56faf17c2fad43b3ac14944fb5cddee0fca3c97d30b7beb"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

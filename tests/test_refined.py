@@ -23,6 +23,7 @@ from symdet.refined import (
     refined_decomposition,
     symmetrize_tensor,
 )
+from symdet.symmetrizer import symmetrize
 
 P = Partition
 
@@ -179,6 +180,14 @@ class TestConstituentPoly:
         c = constituent_poly(P((3, 1)), P((1, 1)))
         assert c.c_matrix == ((Poly((64, 32)),),)  # 32(N+2)
         assert c.c_reduced == Poly((4, 2))
+
+    def test_reference_norm_is_the_product_of_the_group_orders(self):
+        # the coupling's scale |C| / |C'| rests on <e' w0, e' w0> = |C'| |R'|
+        for m in range(1, 8):
+            for gamma in partitions_of(m):
+                v = symmetrize(gamma, {tuple(range(1, m + 1)): 1})
+                orders = math.prod(map(math.factorial, gamma.conjugate().parts + gamma.parts))
+                assert sum(c * c for c in v.values()) == orders, gamma
 
     def test_absent_for_exterior_powers(self):
         assert constituent_poly(P((1, 1, 1)), P((1,))) is None
