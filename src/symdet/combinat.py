@@ -265,6 +265,11 @@ def dimension_poly(shape: Partition) -> Poly:
     return out * Fraction(1, hooks)
 
 
+def detb_exponent(shape: Partition) -> Poly:
+    """n * dim / N, the exponent of det(B); N divides dim as box (1,1) has content 0."""
+    return Poly(shape.n * c for c in dimension_poly(shape).coeffs[1:])
+
+
 @lru_cache(maxsize=None)
 def standard_tableau_count(shape: Partition) -> int:
     """Number of standard fillings, by the hook length formula."""

@@ -8,6 +8,10 @@ integer combinations of C(N,k).  Nothing in this module is ever
 approximate: integers are factored by trial division alone, and a
 cofactor too large to certify that way raises instead of being passed
 by a probabilistic test.
+
+Polynomials, exponent combinations and formulas are immutable values.
+A square class has one form, the reduced :class:`SquareClassFormula`,
+and two classes are compared with ``==``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -148,9 +153,6 @@ class Poly:
     def __sub__(self, other: "Poly | Rat") -> "Poly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: "Poly | Rat") -> "Poly":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other: "Poly | Rat") -> "Poly":
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
@@ -176,32 +178,6 @@ class Poly:
             e >>= 1
         return out
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading()
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            q = rem[-1] / lead
-            quot[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= q * c
-            rem.pop()
-        return Poly(quot), Poly(rem)
-
-    def divexact(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"inexact polynomial division: {self} / {other}")
-        return q
-
     # -- structure ----------------------------------------------------------
 
     def content(self) -> Fraction:
@@ -215,12 +191,6 @@ class Poly:
             den = den * c.denominator // math.gcd(den, c.denominator)
         g = Fraction(num, den)
         return g if self.leading() > 0 else -g
-
-    def primitive(self) -> "Poly":
-        c = self.content()
-        if c == 0:
-            return self
-        return Poly(tuple(x / c for x in self.coeffs))
 
     # -- display ------------------------------------------------------------
 
@@ -294,17 +264,17 @@ def poly_factor_rational(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Pol
     """Split off the rational content and all rational linear factors.
 
     Returns ``(content, [(factor, multiplicity), ...], residual)`` with
-    ``p == content * prod(factor**mult) * residual``, each factor a
-    primitive integer polynomial ``q*N - r`` with q > 0, and the residual
-    a primitive integer polynomial with positive leading coefficient and
-    no rational root.
+    ``p == content * prod(factor**mult) * residual``, each factor an
+    integer polynomial ``q*N - r`` with q > 0 and gcd(q, r) = 1, and the
+    residual an integer polynomial with coprime coefficients, positive
+    leading coefficient and no rational root.
 
-    Works on the primitive integer coefficients throughout.  A root r/q
-    has q dividing the leading and r the constant coefficient of that
-    polynomial, and every quotient's coefficients divide them too, so one
-    pass over those candidates finds every root; each is tested as
-    sum a_i r^i q^(d-i) == 0 and divided out exactly (Gauss's lemma keeps
-    the quotient primitive and integral).
+    Works on the coprime integer coefficients of p / content throughout.
+    A root r/q has q dividing the leading and r the constant coefficient
+    of that polynomial, and every quotient's coefficients divide them
+    too, so one pass over those candidates finds every root; each is
+    tested as sum a_i r^i q^(d-i) == 0 and divided out exactly (Gauss's
+    lemma keeps the quotient integral with coprime coefficients).
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -500,24 +470,48 @@ class Binomials:
         return Binomials(a % 2 for a in self.coeffs)
 
 
-@dataclass
+def _add_exponents(table: Mapping, terms: Iterable[tuple]) -> dict:
+    """A copy of ``table`` with each (base, exponent) of ``terms`` added; zero exponents drop out."""
+    out = dict(table)
+    for key, e in terms:
+        out[key] = out.get(key, Binomials()) + e
+        if not out[key]:
+            del out[key]
+    return out
+
+
+def _rational_primes(value: Fraction, exponent: Binomials) -> Iterator[tuple[int, Binomials]]:
+    """(p, exponent * v_p(value)) for each prime p of a positive rational."""
+    for p, e in factorint(value.numerator).items():
+        yield p, exponent * e
+    for p, e in factorint(value.denominator).items():
+        yield p, exponent * (-e)
+
+
+@dataclass(frozen=True)
 class SquareClassFormula:
     """A product ``prod base^exponent(N) * det(B)^detB_exponent(N)``.
 
-    Integer bases are primes; polynomial bases are primitive integer
-    polynomials without rational roots beyond themselves (linear in
-    everything this engine produces), keyed by their coefficient tuple.
+    Integer bases are primes; polynomial bases are coprime-coefficient
+    integer polynomials without rational roots beyond themselves (linear
+    in everything this engine produces), keyed by their coefficient tuple.
     Factor exponents are integer combinations of C(N,k)
     (:class:`Binomials`); the det(B) exponent is a polynomial in N.  The
     ``unreduced`` flag marks formulas whose polynomial part could not be
     split into linear factors, in which case no square-class reduction
-    was attempted on it.
+    was attempted on it.  A formula is immutable (its tables are
+    read-only copies), and two classes are equal when their
+    :meth:`reduced` forms compare ``==``.
     """
 
-    prime_factors: dict[int, Binomials] = field(default_factory=dict)
-    poly_factors: dict[tuple[Fraction, ...], Binomials] = field(default_factory=dict)
+    prime_factors: Mapping[int, Binomials] = field(default_factory=dict)
+    poly_factors: Mapping[tuple[Fraction, ...], Binomials] = field(default_factory=dict)
     detB_exponent: Poly = field(default_factory=Poly)
     unreduced: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "prime_factors", MappingProxyType(dict(self.prime_factors)))
+        object.__setattr__(self, "poly_factors", MappingProxyType(dict(self.poly_factors)))
 
     # -- construction -------------------------------------------------------
 
@@ -531,70 +525,37 @@ class SquareClassFormula:
         value = Fraction(value)
         if value <= 0:
             raise ValueError("only positive bases occur in these formulas")
-        out = SquareClassFormula()
-        num = factorint(value.numerator)
-        den = factorint(value.denominator)
-        for p, e in num.items():
-            out._add_prime(p, exponent * e)
-        for p, e in den.items():
-            out._add_prime(p, exponent * (-e))
-        return out
-
-    def _add_prime(self, p: int, expo: Binomials) -> None:
-        cur = self.prime_factors.get(p, Binomials()) + expo
-        if not cur:
-            self.prime_factors.pop(p, None)
-        else:
-            self.prime_factors[p] = cur
-
-    def _add_poly(self, base: Poly, expo: Binomials) -> None:
-        key = base.coeffs
-        cur = self.poly_factors.get(key, Binomials()) + expo
-        if not cur:
-            self.poly_factors.pop(key, None)
-        else:
-            self.poly_factors[key] = cur
+        return SquareClassFormula(_add_exponents({}, _rational_primes(value, exponent)))
 
     def times(self, other: "SquareClassFormula", power: int = 1) -> "SquareClassFormula":
         """Product with other^power (power may be negative)."""
-        out = self.copy()
-        for p, e in other.prime_factors.items():
-            out._add_prime(p, e * power)
-        for key, e in other.poly_factors.items():
-            out._add_poly(Poly(key), e * power)
-        out.detB_exponent = out.detB_exponent + other.detB_exponent * power
-        out.unreduced = out.unreduced or other.unreduced
-        return out
+        primes = ((p, e * power) for p, e in other.prime_factors.items())
+        polys = ((key, e * power) for key, e in other.poly_factors.items())
+        return SquareClassFormula(
+            _add_exponents(self.prime_factors, primes),
+            _add_exponents(self.poly_factors, polys),
+            self.detB_exponent + other.detB_exponent * power,
+            self.unreduced or other.unreduced,
+        )
 
     def with_poly_value(self, value: Poly, exponent: Binomials) -> "SquareClassFormula":
-        """Multiply by value(N)^exponent, splitting value into factors.
+        """Product with value(N)^exponent, splitting value into factors.
 
         The content goes in through the prime table; linear factors
         become polynomial bases.  A nonsplitting residual sets the
         ``unreduced`` flag and is carried as an opaque polynomial base.
         """
-        out = self.copy()
         content, linear, residual = poly_factor_rational(value)
         if content < 0:
             raise ValueError("negative content in a Gram determinant")
-        if content != 1:
-            for p, e in factorint(content.numerator).items():
-                out._add_prime(p, exponent * e)
-            for p, e in factorint(content.denominator).items():
-                out._add_prime(p, exponent * (-e))
-        for fac, mult in linear:
-            out._add_poly(fac, exponent * mult)
+        bases = [(fac.coeffs, exponent * mult) for fac, mult in linear]
         if residual.degree > 0:
-            out._add_poly(residual, exponent)
-            out.unreduced = True
-        return out
-
-    def copy(self) -> "SquareClassFormula":
+            bases.append((residual.coeffs, exponent))
         return SquareClassFormula(
-            dict(self.prime_factors),
-            dict(self.poly_factors),
+            _add_exponents(self.prime_factors, _rational_primes(content, exponent)),
+            _add_exponents(self.poly_factors, bases),
             self.detB_exponent,
-            self.unreduced,
+            self.unreduced or residual.degree > 0,
         )
 
     # -- reduction -----------------------------------------------------------
@@ -612,17 +573,6 @@ class SquareClassFormula:
             self.detB_exponent,
             self.unreduced,
         )
-
-    def reduced_key(self) -> tuple:
-        """Hashable canonical form used for golden-table comparison."""
-        r = self.reduced()
-
-        def ks(e: Binomials) -> tuple[int, ...]:
-            return tuple(k for k, a in enumerate(e.coeffs) if a)
-
-        primes = tuple(sorted((p, ks(e)) for p, e in r.prime_factors.items()))
-        polys = tuple(sorted((key, ks(e)) for key, e in r.poly_factors.items()))
-        return primes, polys
 
     def evaluate_class(self, n_value: int) -> int:
         """Squarefree representative at a concrete N (det(B) excluded)."""

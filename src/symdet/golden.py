@@ -2,13 +2,17 @@
 
 The data file carries the known determinant tables in a documented
 JSON schema (see README); verification recomputes everything in scope
-with the engine and diffs against it.
+with the engine and diffs against it.  Every number in the file is a
+JSON integer, and each row's ``det_class`` is parsed into the reduced
+:class:`SquareClassFormula` that the engine returns, so a class is
+checked with ``==`` and a mismatch prints in the notation of ``sym``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -28,15 +32,7 @@ MAX_REORDER_SIZE = 4
 class SymRow:
     partition: Partition
     dimension: Poly
-    det_class: tuple[tuple[int, tuple[int, ...]], ...]  # (base, (k,...)) factors
-
-    def reduced_key(self) -> tuple:
-        """Key of the class, as :meth:`SquareClassFormula.reduced_key`."""
-        formula = SquareClassFormula.one()
-        for base, ks in self.det_class:
-            exponent = sum((Binomials.unit(k) for k in ks), Binomials())
-            formula = formula.times(SquareClassFormula.from_integer(base, exponent))
-        return formula.reduced_key()
+    c_reduced: SquareClassFormula  # the det_class column, reduced modulo squares
 
 
 @dataclass(frozen=True)
@@ -56,18 +52,28 @@ class GoldenTables:
     coupling_42_2: tuple[tuple[Poly, ...], ...]
 
 
-def _poly_from_roots(roots: list[int], den: int) -> Poly:
-    out = Poly.const(Fraction(1, den))
+def _integer(x, least: float = -math.inf) -> int:
+    """``x`` if it is a JSON integer (a bool is not one) of at least ``least``."""
+    if type(x) is not int or x < least:
+        raise ValueError(f"{x!r} is not an integer of at least {least}")
+    return x
+
+
+def _poly_from_roots(scale: Fraction | int, roots: list[int]) -> Poly:
+    """scale * prod(N - r) over the integer roots r."""
+    out = Poly.const(scale)
     for r in roots:
-        out = out * Poly((-r, 1))
+        out = out * Poly((-_integer(r), 1))
     return out
 
 
-def _class_poly(constant: int, roots: list[int]) -> Poly:
-    out = Poly.const(squarefree_part(constant)[0])
-    for r in roots:
-        out = out * Poly((-r, 1))
-    return out
+def _class_formula(det_class: list) -> SquareClassFormula:
+    """prod base^(sum of its C(N,k)) over the [base, [k, ...]] factors, reduced modulo squares."""
+    formula = SquareClassFormula.one()
+    for base, ks in det_class:
+        exponent = sum((Binomials.unit(_integer(k, 0)) for k in ks), Binomials())
+        formula = formula.times(SquareClassFormula.from_integer(_integer(base, 1), exponent))
+    return formula.reduced()
 
 
 def load_golden(path: str | Path | None = None) -> GoldenTables:
@@ -88,18 +94,17 @@ def _parse_golden(doc: dict) -> GoldenTables:
     def sym_rows(key: str) -> list[SymRow]:
         rows = []
         for row in doc[key]:
-            dim = _poly_from_roots(row["dimension"]["roots"], row["dimension"]["den"])
-            det = tuple((base, tuple(ks)) for base, ks in row["det_class"])
-            rows.append(SymRow(Partition(row["partition"]), dim, det))
-            rows[-1].reduced_key()  # factor every base now: one that fails is malformed data
+            spec = row["dimension"]
+            dim = _poly_from_roots(Fraction(1, _integer(spec["den"], 1)), spec["roots"])
+            rows.append(SymRow(Partition(row["partition"]), dim, _class_formula(row["det_class"])))
         return rows
 
     refined_rows = [
         RefinedRow(
             Partition(r["partition"]),
             Partition(r["gamma"]),
-            r["multiplicity"],
-            _class_poly(r["class_constant"], r["class_roots"]),
+            _integer(r["multiplicity"]),
+            _poly_from_roots(squarefree_part(_integer(r["class_constant"]))[0], r["class_roots"]),
         )
         for r in doc["refined"]
     ]
@@ -154,11 +159,10 @@ def verify_sym(golden: GoldenTables) -> VerifyReport:
                 f"sym {row.partition}: dimension expected {row.dimension.factored_str()}, "
                 f"got {result.dimension.factored_str()}"
             )
-        expected = row.reduced_key()
-        got = result.c_reduced.reduced_key()
-        if expected != got:
+        if result.c_reduced != row.c_reduced:
             mismatches.append(
-                f"sym {row.partition}: class expected {_key_str(expected)}, got {_key_str(got)}"
+                f"sym {row.partition}: class expected {row.c_reduced.render_text()}, "
+                f"got {result.c_reduced.render_text()}"
             )
     for (shape, pattern), mat in sorted(golden.matrices.items()):
         checked += 1
@@ -223,10 +227,3 @@ def _matrix_matches_up_to_order(got, expected) -> bool:
         for perm in orders
     )
 
-
-def _key_str(key) -> str:
-    primes, _ = key
-    return " * ".join(
-        f"{p}^C(N,{{{','.join(map(str, ks))}}})" if len(ks) > 1 else f"{p}^C(N,{ks[0]})"
-        for p, ks in primes
-    ) or "1"

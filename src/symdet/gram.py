@@ -36,12 +36,13 @@ from .combinat import (
     Partition,
     Pattern,
     compositions_of,
+    detb_exponent,
     dimension_poly,
     dominates,
     frame_of,
     ssyt_with_pattern,
 )
-from .exact import POLY_N, Binomials, Poly, SquareClassFormula, bareiss_det
+from .exact import Binomials, Poly, SquareClassFormula, bareiss_det
 from .symmetrizer import (
     column_classes,
     free_tail,
@@ -170,8 +171,7 @@ def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
     for b in blocks:
         c_formula = c_formula.times(SquareClassFormula.from_integer(b.det, Binomials.unit(b.k)))
     dim = dimension_poly(shape)
-    detb = (dim * shape.n).divexact(POLY_N)
-    return SymDetResult(shape, {b.pattern: b for b in blocks}, c_formula, dim, detb)
+    return SymDetResult(shape, {b.pattern: b for b in blocks}, c_formula, dim, detb_exponent(shape))
 
 
 def determinant_classes(shapes: list[Partition]) -> list[DetClass]:

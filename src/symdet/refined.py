@@ -27,9 +27,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import Partition, littlewood_multiplicity, partitions_of
+from .combinat import Partition, detb_exponent, littlewood_multiplicity, partitions_of
 from .exact import (
-    POLY_N,
     Binomials,
     Poly,
     SquareClassFormula,
@@ -247,7 +246,7 @@ def all_disjoint_chains(n: int, j: int) -> list[Chain]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefinedConstituent:
     gamma: Partition
     multiplicity: int
@@ -402,10 +401,10 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefinedResult:
     shape: Partition
-    constituents: list[RefinedConstituent]
+    constituents: tuple[RefinedConstituent, ...]
     refined_dimension: Poly
     refined_det: SquareClassFormula  # class modulo squares; reduce for display
 
@@ -423,20 +422,18 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
     if n > MAX_REFINED_N:
         raise ValueError(f"refined decomposition supported for n <= {MAX_REFINED_N}")
     if n == 0:
-        return RefinedResult(shape, [], Poly.const(1), SquareClassFormula.one())
+        return RefinedResult(shape, (), Poly.const(1), SquareClassFormula.one())
 
-    constituents: list[RefinedConstituent] = []
-    for j in range(1, n // 2 + 1):
-        for gamma in partitions_of(n - 2 * j):
-            c = constituent_poly(shape, gamma)
-            if c is not None:
-                constituents.append(c)
+    constituents = tuple(
+        c for j in range(1, n // 2 + 1) for gamma in partitions_of(n - 2 * j)
+        if (c := constituent_poly(shape, gamma)) is not None
+    )
 
     # mod 2 reduction of each binomial coefficient commutes with the
     # products below, so the reduced class stands in for the exact one
     sym = determinant_classes([shape])[0]
     dim = sym.dimension
-    det = replace(sym.c_reduced, detB_exponent=(dim * n).divexact(POLY_N))
+    det = replace(sym.c_reduced, detB_exponent=detb_exponent(shape))
     for c in constituents:
         sub = refined_decomposition(c.gamma)
         dim = dim - sub.refined_dimension * c.multiplicity

@@ -51,7 +51,7 @@ def test_criterion_1_sym_tables():
         result = symmetrization_determinant(row.partition)
         if result.dimension != row.dimension:
             failures.append(f"{row.partition}: dimension")
-        if result.c_formula.reduced_key() != row.reduced_key():
+        if result.c_formula.reduced() != row.c_reduced:
             failures.append(f"{row.partition}: class")
     assert not failures, failures
     print(f"\nACCEPTANCE 1: PASS - 43 table rows reproduced ({time.time()-t0:.0f}s)")
@@ -99,7 +99,7 @@ def test_criterion_3_closed_form_families():
         closed = closed_form_c(shape)
         engine = symmetrization_determinant(shape)
         assert closed is not None and (
-            closed.reduced_key() == engine.c_formula.reduced_key()
+            closed.reduced() == engine.c_formula.reduced()
         ), shape
     print(
         f"\nACCEPTANCE 3: PASS - closed forms match the engine for "
@@ -113,7 +113,7 @@ def test_criterion_3_stretch_weight_nine():
     for row in GOLDEN.stretch_rows:
         result = symmetrization_determinant(row.partition)
         assert result.dimension == row.dimension, row.partition
-        assert result.c_formula.reduced_key() == row.reduced_key(), row.partition
+        assert result.c_formula.reduced() == row.c_reduced, row.partition
     print(f"\nACCEPTANCE 3 (stretch): PASS - weight-9 pair ({time.time()-t0:.0f}s)")
 
 

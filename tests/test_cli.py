@@ -226,12 +226,24 @@ class TestVerifyCommand:
             _edited_golden(lambda doc: doc["matrices"].update({"2,1|0,3": [[1]]})),
             _edited_golden(lambda doc: doc["matrices"].update({"2,1|1,1,1": [[4, -2], [-2]]})),
             _edited_golden(lambda doc: doc["coupling_42_2"].update(matrix=[[[1], [2]], [[3]]])),
+            # every number is a JSON integer, never a float, a string or a bool
+            *(
+                _edited_golden(lambda doc, f=f: doc["symmetrizations"][0].update(det_class=[f]))
+                for f in ([2.5, [2]], ["6", [2]], [True, [2]], [2, [-1]], [2, [True]])
+            ),
+            _edited_golden(lambda doc: doc["refined"][0].update(class_constant=2.5)),
+            _edited_golden(lambda doc: doc["refined"][0].update(class_constant=True)),
+            _edited_golden(lambda doc: doc["refined"][0].update(multiplicity=1.0)),
+            _edited_golden(lambda doc: doc["symmetrizations"][0]["dimension"].update(roots=[0, 0.5])),
+            _edited_golden(lambda doc: doc["symmetrizations"][0]["dimension"].update(den=True)),
         ],
         ids=[
             "missing", "not-json", "no-tables", "wrong-structure",
             "zero-den", "uncertifiable-constant", "uncertifiable-base",
             "undominated-pattern", "pattern-off-weight", "zero-part-pattern",
             "ragged-matrix", "ragged-coupling",
+            "float-base", "string-base", "bool-base", "negative-k", "bool-k",
+            "float-constant", "bool-constant", "float-multiplicity", "float-root", "bool-den",
         ],
     )
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):
@@ -291,6 +303,13 @@ class TestPinnedOutput:
              "15e6e89acde4c70679d7968d38fe596d5e224afc770180f3af9ed26ad12cfe66"),
             (("--format", "json", "sym", "4,2,1"),
              "27fb58e00767be3ff56faf17c2fad43b3ac14944fb5cddee0fca3c97d30b7beb"),
+            # polynomial bases, a det(B) exponent and several constituents
+            (("--format", "json", "refined", "4,2"),
+             "a55473b142d46032c40fc2db599df04ae5ecad859221adc5221ba059a0f44226"),
+            (("--format", "json", "refined", "4,2,1"),
+             "36e317b52f7fc92f4f9a44307d8266951ad6e797e05ffa01ed61eaf1eea06e14"),
+            (("--format", "json", "refined", "3,3,1"),
+             "89ddafa7bf03c3f33e8e3430848b14e2c8308dbd83bdf31284945e9b28c93745"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

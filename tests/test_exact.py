@@ -87,14 +87,6 @@ class TestPoly:
         p = Poly((Fraction(1, 3), 0, Fraction(2, 3)))
         assert p(3) == Fraction(1, 3) + 6
 
-    def test_divexact(self):
-        p = Poly((-1, 0, 1))
-        assert p.divexact(Poly((-1, 1))) == Poly((1, 1))
-
-    def test_divexact_rejects_remainder(self):
-        with pytest.raises(ValueError):
-            Poly((1, 1)).divexact(Poly((0, 1)))
-
     def test_factored_str(self):
         assert Poly((0, Fraction(-1, 2), Fraction(1, 2))).factored_str() == "N*(N-1)/2"
         third = Fraction(1, 3)
@@ -236,6 +228,30 @@ class TestInterpolate:
         assert all(q(x) == v for x, v in pts)
 
 
+# (base, k, multiplier) of one factor base^(multiplier * C(N,k)), and whether
+# it also multiplies in the linear polynomial N - base
+_FACTORS = st.tuples(
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+)
+
+
+def _formula(factors) -> SquareClassFormula:
+    out = SquareClassFormula.one()
+    for base, k, mult, linear in factors:
+        exponent = Binomials.unit(k) * mult
+        out = out.times(SquareClassFormula.from_integer(base, exponent))
+        if linear:
+            out = out.with_poly_value(Poly((-base, 1)), exponent)
+    return out
+
+
+def _snapshot(f: SquareClassFormula) -> tuple:
+    return dict(f.prime_factors), dict(f.poly_factors), f.detB_exponent, f.unreduced
+
+
 class TestSquareClassFormula:
     def test_reduction_drops_even_exponents(self):
         f = SquareClassFormula.from_integer(16, Binomials.unit(2))
@@ -263,6 +279,30 @@ class TestSquareClassFormula:
     def test_unreduced_flag(self):
         f = SquareClassFormula.one().with_poly_value(Poly((1, 0, 1)), Binomials.unit(0))
         assert f.unreduced
+
+    def test_tables_are_read_only_copies(self):
+        primes = {2: Binomials.unit(2)}
+        f = SquareClassFormula(primes)
+        primes[3] = Binomials.unit(1)
+        assert dict(f.prime_factors) == {2: Binomials.unit(2)}
+        with pytest.raises(TypeError):
+            f.prime_factors[5] = Binomials.unit(3)
+        with pytest.raises(AttributeError):
+            f.poly_factors.clear()
+
+    @given(
+        st.lists(_FACTORS, max_size=4),
+        st.lists(_FACTORS, max_size=4),
+        st.integers(min_value=-2, max_value=2),
+    )
+    def test_operations_leave_their_operands_unchanged(self, left, right, power):
+        a, b = _formula(left), _formula(right)
+        snapshots = [_snapshot(a), _snapshot(b)]
+        a.times(b, power)
+        a.with_poly_value(Poly((-3, 2)) * 6, Binomials.unit(2))
+        a.reduced()
+        b.reduced()
+        assert [_snapshot(a), _snapshot(b)] == snapshots
 
     def test_json_roundtrip_stable(self):
         import json

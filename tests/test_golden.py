@@ -1,22 +1,30 @@
-import dataclasses
+import json
 import math
+from importlib import resources
 
 from symdet.golden import load_golden
 from symdet.gram import symmetrization_determinant
 
 
-def _flip_one_k(row):
-    """The row with one C(N,k) dropped from a factor whose base is not a square."""
-    i = next(i for i, (base, _) in enumerate(row.det_class) if math.isqrt(base) ** 2 != base)
-    base, ks = row.det_class[i]
-    det_class = row.det_class[:i] + ((base, ks[1:]),) + row.det_class[i + 1:]
-    return dataclasses.replace(row, det_class=det_class)
+def _drop_one_k(row):
+    """Drop one C(N,k) from the first factor whose base is not a square."""
+    factor = next(f for f in row["det_class"] if math.isqrt(f[0]) ** 2 != f[0])
+    factor[1] = factor[1][1:]
 
 
-def test_sym_row_keys_match_engine_and_detect_a_flipped_k():
+def test_sym_row_classes_match_engine_and_detect_a_dropped_k(tmp_path):
+    doc = json.loads(resources.files("symdet.data").joinpath("golden.json").read_text())
     golden = load_golden()
+    for row in doc["symmetrizations"] + doc["symmetrizations_stretch"]:
+        _drop_one_k(row)
+    edited = tmp_path / "golden.json"
+    edited.write_text(json.dumps(doc))
+    dropped = load_golden(edited)
     rows = golden.sym_rows + golden.stretch_rows
-    for row in rows:
-        engine = symmetrization_determinant(row.partition).c_formula.reduced_key()
-        assert row.reduced_key() == engine, row.partition
-        assert _flip_one_k(row).reduced_key() != engine, row.partition
+    dropped_rows = dropped.sym_rows + dropped.stretch_rows
+    assert len(dropped_rows) == len(rows) == 45
+    for row, dropped_row in zip(rows, dropped_rows):
+        engine = symmetrization_determinant(row.partition).c_formula.reduced()
+        assert row.c_reduced == engine, row.partition
+        assert dropped_row.partition == row.partition
+        assert dropped_row.c_reduced != engine, row.partition

@@ -204,7 +204,7 @@ class TestSymmetrizationDeterminant:
     def test_parallel_matches_serial(self):
         serial = symmetrization_determinant(P((3, 2)), jobs=1)
         parallel = symmetrization_determinant(P((3, 2)), jobs=2)
-        assert serial.c_formula.reduced_key() == parallel.c_formula.reduced_key()
+        assert serial.c_formula.reduced() == parallel.c_formula.reduced()
         assert serial.dimension == parallel.dimension
         assert {p: b.matrix for p, b in serial.blocks.items()} == {
             p: b.matrix for p, b in parallel.blocks.items()
@@ -220,7 +220,7 @@ class TestDeterminantClasses:
         assert [r.shape for r in results] == shapes
         for shape, result in zip(shapes, results):
             full = symmetrization_determinant(shape, jobs=oracle_jobs)
-            assert result.c_reduced.reduced_key() == full.c_formula.reduced_key(), shape
+            assert result.c_reduced.reduced() == full.c_formula.reduced(), shape
             assert result.c_reduced.to_json() == full.c_formula.reduced().to_json(), shape
             assert result.dimension == full.dimension, shape
 
@@ -278,7 +278,7 @@ class TestClosedForms:
             closed = closed_form_c(shape)
             assert closed is not None, shape
             engine = symmetrization_determinant(shape)
-            assert closed.reduced_key() == engine.c_formula.reduced_key(), shape
+            assert closed.reduced() == engine.c_formula.reduced(), shape
 
     def test_unsupported_returns_none(self):
         assert closed_form_c(P((2, 2))) is None

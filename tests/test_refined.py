@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -292,13 +292,26 @@ class TestRefinedDecomposition:
 
     def test_exterior_untouched(self):
         r = refined_decomposition(P((1, 1, 1)))
-        assert r.constituents == []
+        assert r.constituents == ()
         sym_det = refined_decomposition(P((1, 1, 1))).refined_det
         from symdet.gram import symmetrization_determinant
 
         sym = symmetrization_determinant(P((1, 1, 1)))
         full = replace(sym.c_formula, detB_exponent=sym.detB_exponent)
         assert sym_det.reduced().render_text() == full.reduced().render_text()
+
+    def test_cached_results_cannot_be_mutated(self):
+        r = refined_decomposition(P((3, 1)))
+        with pytest.raises(AttributeError):
+            r.constituents.clear()
+        with pytest.raises(AttributeError):
+            refined_decomposition(P((2, 2))).refined_det.prime_factors.clear()
+        with pytest.raises(FrozenInstanceError):
+            r.refined_dimension = Poly()
+        with pytest.raises(FrozenInstanceError):
+            r.constituents[0].multiplicity = 3
+        assert len(refined_decomposition(P((3, 1))).constituents) == 2
+        assert refined_decomposition(P((2, 2))).refined_det.prime_factors
 
     @pytest.mark.parametrize(
         "shape", [p for n in range(2, 8) for p in partitions_of(n)], ids=str
