@@ -16,7 +16,7 @@ def main() -> int:
         for shape in partitions_of(n):
             result = refined_decomposition(shape)
             cons = ", ".join(
-                f"{c.gamma}: m={c.multiplicity} c={c.c_reduced.factored_str()}"
+                f"{c.gamma}: m={c.multiplicity} c={c.c_reduced.render_text()}"
                 for c in result.constituents
             )
             print(f"{str(shape):14s} [{cons}]")

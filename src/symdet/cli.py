@@ -177,16 +177,15 @@ def cmd_refined(args: argparse.Namespace) -> int:
             "chains": [list(map(list, ch)) for ch in c.chains],
             "coupling_matrix": [[_poly_json(e) for e in row] for row in c.c_matrix],
             "coupling_det": _poly_json(c.c_det),
-            "coupling_reduced": _poly_json(c.c_reduced),
-            "reduced_ok": c.reduced_ok,
+            "coupling_reduced": _poly_json(c.c_reduced.value()),
+            "reduced_ok": not c.c_reduced.unreduced,
         })
-    reduced_det = result.refined_det.reduced()
     payload = {
         "partition": list(args.partition.parts),
         "n": args.partition.n,
         "constituents": constituents,
         "refined_dimension": _poly_json(result.refined_dimension),
-        "refined_det": reduced_det.to_json(),
+        "refined_det": result.refined_det.to_json(),
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))

@@ -11,7 +11,8 @@ by a probabilistic test.
 
 Polynomials, exponent combinations and formulas are immutable values.
 A square class has one form, the reduced :class:`SquareClassFormula`,
-and two classes are compared with ``==``.
+and two classes are compared with ``==``; the class of one polynomial
+value reads back as one through :meth:`SquareClassFormula.value`.
 """
 
 from __future__ import annotations
@@ -573,6 +574,22 @@ class SquareClassFormula:
             self.detB_exponent,
             self.unreduced,
         )
+
+    def value(self) -> Poly:
+        """The product as a polynomial, e.g. a reduced class of one polynomial value.
+
+        Raises ValueError unless every exponent is a constant >= 0 and
+        there is no det(B) factor.
+        """
+        if self.detB_exponent:
+            raise ValueError("a det(B) factor has no polynomial value")
+        out = Poly.const(1)
+        polys = ((Poly(key), e) for key, e in self.poly_factors.items())
+        for base, e in [*self.prime_factors.items(), *polys]:
+            if len(e.coeffs) > 1 or e.coeffs[0] < 0:
+                raise ValueError(f"exponent {_exponent_str(e)} is not a constant >= 0")
+            out = out * base ** e.coeffs[0]
+        return out
 
     def evaluate_class(self, n_value: int) -> int:
         """Squarefree representative at a concrete N (det(B) excluded)."""

@@ -3,9 +3,10 @@
 The data file carries the known determinant tables in a documented
 JSON schema (see README); verification recomputes everything in scope
 with the engine and diffs against it.  Every number in the file is a
-JSON integer, and each row's ``det_class`` is parsed into the reduced
-:class:`SquareClassFormula` that the engine returns, so a class is
-checked with ``==`` and a mismatch prints in the notation of ``sym``.
+JSON integer, and each row's ``det_class`` and each refined row's
+coupling class are parsed into the reduced :class:`SquareClassFormula`
+that the engine returns, so a class is checked with ``==`` and a
+mismatch prints in the notation of ``sym``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from importlib import resources
 from pathlib import Path
 
 from .combinat import Partition, dominates, partitions_of
-from .exact import Binomials, Poly, SquareClassFormula, squarefree_part
+from .exact import Binomials, Poly, SquareClassFormula
 from .gram import determinant_classes, gram_block
-from .refined import refined_decomposition
+from .refined import MAX_REFINED_N, refined_decomposition
 
 # A golden matrix of at most this many tableaux may list them in any
 # order; a larger one must use the lexicographic row-major order.
@@ -40,7 +41,7 @@ class RefinedRow:
     partition: Partition
     gamma: Partition
     multiplicity: int
-    reduced_class: Poly  # squarefree constant times distinct linear factors
+    c_reduced: SquareClassFormula  # the coupling determinant's class, reduced modulo squares
 
 
 @dataclass
@@ -57,6 +58,11 @@ def _integer(x, least: float = -math.inf) -> int:
     if type(x) is not int or x < least:
         raise ValueError(f"{x!r} is not an integer of at least {least}")
     return x
+
+
+def _partition(parts: list) -> Partition:
+    """A partition whose parts are JSON integers of at least 1."""
+    return Partition([_integer(p, 1) for p in parts])
 
 
 def _poly_from_roots(scale: Fraction | int, roots: list[int]) -> Poly:
@@ -96,18 +102,19 @@ def _parse_golden(doc: dict) -> GoldenTables:
         for row in doc[key]:
             spec = row["dimension"]
             dim = _poly_from_roots(Fraction(1, _integer(spec["den"], 1)), spec["roots"])
-            rows.append(SymRow(Partition(row["partition"]), dim, _class_formula(row["det_class"])))
+            rows.append(SymRow(_partition(row["partition"]), dim, _class_formula(row["det_class"])))
         return rows
 
-    refined_rows = [
-        RefinedRow(
-            Partition(r["partition"]),
-            Partition(r["gamma"]),
-            _integer(r["multiplicity"]),
-            _poly_from_roots(squarefree_part(_integer(r["class_constant"]))[0], r["class_roots"]),
+    refined_rows = []
+    for r in doc["refined"]:
+        shape = _partition(r["partition"])
+        if shape.n > MAX_REFINED_N:
+            raise ValueError(f"refined row {shape} is beyond the limit n <= {MAX_REFINED_N}")
+        c_det = _poly_from_roots(_integer(r["class_constant"], 1), r["class_roots"])
+        c_reduced = SquareClassFormula.one().with_poly_value(c_det, Binomials.unit(0)).reduced()
+        refined_rows.append(
+            RefinedRow(shape, _partition(r["gamma"]), _integer(r["multiplicity"]), c_reduced)
         )
-        for r in doc["refined"]
-    ]
     matrices = {}
     for key, mat in doc["matrices"].items():
         shape_s, pat_s = key.split("|")
@@ -119,7 +126,7 @@ def _parse_golden(doc: dict) -> GoldenTables:
             raise ValueError(f"matrix {key!r} is not a square list of integer rows")
         matrices[(shape, pattern)] = tuple(tuple(row) for row in mat)
     coupling = tuple(
-        tuple(Poly(entry) for entry in row) for row in doc["coupling_42_2"]["matrix"]
+        tuple(Poly(map(_integer, entry)) for entry in row) for row in doc["coupling_42_2"]["matrix"]
     )
     if any(len(row) != len(coupling) for row in coupling):
         raise ValueError("coupling_42_2 is not a square matrix")
@@ -177,36 +184,36 @@ def verify_sym(golden: GoldenTables) -> VerifyReport:
 
 
 def verify_refined(golden: GoldenTables) -> VerifyReport:
-    """Recompute the constituent table for n <= 6 and diff against golden."""
+    """Recompute the constituent table of every shape with n <= 6 or a golden row; diff."""
     mismatches = []
     checked = 0
     expected_by_shape: dict[Partition, dict[Partition, RefinedRow]] = {}
     for row in golden.refined_rows:
         expected_by_shape.setdefault(row.partition, {})[row.gamma] = row
-    for n in range(2, 7):
-        for shape in partitions_of(n):
-            expected = expected_by_shape.get(shape, {})
-            result = refined_decomposition(shape)
-            got = {c.gamma: c for c in result.constituents}
-            checked += max(len(expected), 1)
-            for gamma in sorted(set(expected) | set(got)):
-                if gamma not in got:
-                    mismatches.append(f"refined {shape}/{gamma}: missing constituent")
-                    continue
-                if gamma not in expected:
-                    mismatches.append(f"refined {shape}/{gamma}: unexpected constituent")
-                    continue
-                e, g = expected[gamma], got[gamma]
-                if e.multiplicity != g.multiplicity:
-                    mismatches.append(
-                        f"refined {shape}/{gamma}: multiplicity expected "
-                        f"{e.multiplicity}, got {g.multiplicity}"
-                    )
-                if e.reduced_class != g.c_reduced:
-                    mismatches.append(
-                        f"refined {shape}/{gamma}: class expected "
-                        f"{e.reduced_class.factored_str()}, got {g.c_reduced.factored_str()}"
-                    )
+    shapes = [shape for n in range(2, 7) for shape in partitions_of(n)]
+    shapes += [shape for shape in expected_by_shape if shape not in shapes]
+    for shape in shapes:
+        expected = expected_by_shape.get(shape, {})
+        got = {c.gamma: c for c in refined_decomposition(shape).constituents}
+        checked += max(len(expected), 1)
+        for gamma in sorted(set(expected) | set(got)):
+            if gamma not in got:
+                mismatches.append(f"refined {shape}/{gamma}: missing constituent")
+                continue
+            if gamma not in expected:
+                mismatches.append(f"refined {shape}/{gamma}: unexpected constituent")
+                continue
+            e, g = expected[gamma], got[gamma]
+            if e.multiplicity != g.multiplicity:
+                mismatches.append(
+                    f"refined {shape}/{gamma}: multiplicity expected "
+                    f"{e.multiplicity}, got {g.multiplicity}"
+                )
+            if e.c_reduced != g.c_reduced:
+                mismatches.append(
+                    f"refined {shape}/{gamma}: class expected "
+                    f"{e.c_reduced.render_text()}, got {g.c_reduced.render_text()}"
+                )
     # the explicitly known multiplicity-two coupling matrix
     checked += 1
     c42 = refined_decomposition(Partition((4, 2)))

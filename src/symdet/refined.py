@@ -6,6 +6,8 @@ pieces, reached by inserting paired basis vectors at chosen tensor
 positions and re-symmetrizing.  For each smaller shape gamma the
 coupling is a symmetric matrix of polynomials in N; its size is the
 multiplicity and its determinant class feeds the refined determinant.
+Both the coupling class and the refined determinant are held as the
+reduced :class:`SquareClassFormula`, the one square-class value.
 The multiplicity comes from Littlewood's branching rule, and the
 coupling basis is the first that many independent chain embeddings
 in one scan of the candidate chains.
@@ -28,14 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import Partition, detb_exponent, littlewood_multiplicity, partitions_of
-from .exact import (
-    Binomials,
-    Poly,
-    SquareClassFormula,
-    poly_factor_rational,
-    poly_matrix_det,
-    squarefree_part,
-)
+from .exact import Binomials, Poly, SquareClassFormula, poly_matrix_det
 from .gram import determinant_classes
 from .symmetrizer import column_sum, row_sum, symmetrize
 
@@ -253,26 +248,7 @@ class RefinedConstituent:
     chains: tuple[Chain, ...]
     c_matrix: tuple[tuple[Poly, ...], ...]
     c_det: Poly
-    c_reduced: Poly  # squarefree content times distinct linear factors
-    reduced_ok: bool  # False when the determinant did not split
-
-
-def _reduce_det(det: Poly) -> tuple[Poly, bool]:
-    """Square-class representative of a polynomial value.
-
-    Squarefree part of the content times each linear factor to the
-    parity of its multiplicity.  If a nonlinear residual survives the
-    original polynomial is returned unreduced.
-    """
-    content, linear, residual = poly_factor_rational(det)
-    if residual.degree > 0:
-        return det, False
-    sf = squarefree_part(content)[0]
-    out = Poly.const(sf)
-    for fac, mult in linear:
-        if mult % 2:
-            out = out * fac
-    return out, True
+    c_reduced: SquareClassFormula  # class of c_det modulo squares, reduced
 
 
 def _dummy_embed(chain: Chain, v: dict[Word, int], n: int, first: int) -> dict[Word, int]:
@@ -384,15 +360,13 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
             f"Littlewood multiplicity {target}"
         )
     c_matrix = tuple(tuple(entry(a, b) for b in chosen) for a in chosen)
-    reduced, ok = _reduce_det(det)
     return RefinedConstituent(
         gamma=gamma,
         multiplicity=target,
         chains=tuple(chosen),
         c_matrix=c_matrix,
         c_det=det,
-        c_reduced=reduced,
-        reduced_ok=ok,
+        c_reduced=SquareClassFormula.one().with_poly_value(det, Binomials.unit(0)).reduced(),
     )
 
 
@@ -406,7 +380,7 @@ class RefinedResult:
     shape: Partition
     constituents: tuple[RefinedConstituent, ...]
     refined_dimension: Poly
-    refined_det: SquareClassFormula  # class modulo squares; reduce for display
+    refined_det: SquareClassFormula  # class modulo squares, reduced
 
 
 @lru_cache(maxsize=None)
@@ -439,4 +413,4 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
         dim = dim - sub.refined_dimension * c.multiplicity
         det = det.with_poly_value(c.c_det, Binomials.of(-sub.refined_dimension))
         det = det.times(sub.refined_det, power=-c.multiplicity)
-    return RefinedResult(shape, constituents, dim, det)
+    return RefinedResult(shape, constituents, dim, det.reduced())

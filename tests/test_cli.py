@@ -208,6 +208,34 @@ class TestVerifyCommand:
         assert out.count("mismatch:") == 1
         assert "matrix (3,2,1) pattern (1, 1, 1, 1, 1, 1)" in out
 
+    def test_refined_class_mismatch_prints_in_sym_notation(self, capsys, tmp_path):
+        def edit(doc):
+            row = next(r for r in doc["refined"] if r["partition"] == [3, 1] and r["gamma"] == [1, 1])
+            row["class_constant"] = 1
+
+        bad = tmp_path / "golden.json"
+        bad.write_text(_edited_golden(edit))
+        code, out = run(capsys, "verify", "--scope", "refined", "--golden", str(bad))
+        assert code == 1
+        assert out.count("mismatch:") == 1
+        assert "refined (3,1)/(1,1): class expected (N + 2), got 2 * (N + 2)" in out
+
+    def test_refined_row_beyond_weight_six_is_checked(self, capsys, tmp_path):
+        rows = [
+            {"partition": [7], "gamma": [5], "multiplicity": 99,
+             "class_constant": 21, "class_roots": [-10]},
+            {"partition": [7], "gamma": [3], "multiplicity": 1,
+             "class_constant": 105, "class_roots": [-6, -8]},
+            {"partition": [7], "gamma": [1], "multiplicity": 1,
+             "class_constant": 105, "class_roots": [-2, -4, -6]},
+        ]
+        bad = tmp_path / "golden.json"
+        bad.write_text(_edited_golden(lambda doc: doc["refined"].extend(rows)))
+        code, out = run(capsys, "verify", "--scope", "refined", "--golden", str(bad))
+        assert code == 1
+        assert out.count("mismatch:") == 1
+        assert "refined (7)/(5): multiplicity expected 99, got 1" in out
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -236,6 +264,13 @@ class TestVerifyCommand:
             _edited_golden(lambda doc: doc["refined"][0].update(multiplicity=1.0)),
             _edited_golden(lambda doc: doc["symmetrizations"][0]["dimension"].update(roots=[0, 0.5])),
             _edited_golden(lambda doc: doc["symmetrizations"][0]["dimension"].update(den=True)),
+            _edited_golden(lambda doc: doc["refined"][0].update(partition="2")),
+            _edited_golden(lambda doc: doc["refined"][1].update(gamma=[1.0])),
+            _edited_golden(lambda doc: doc["symmetrizations"][0].update(partition=[True, True])),
+            _edited_golden(lambda doc: doc["coupling_42_2"]["matrix"][0][0].__setitem__(0, "-8192")),
+            _edited_golden(lambda doc: doc["refined"][0].update(class_constant=-1)),
+            # refined accepts n <= 7, so a weight-8 row could never be checked
+            _edited_golden(lambda doc: doc["refined"].append(dict(doc["refined"][0], partition=[8]))),
         ],
         ids=[
             "missing", "not-json", "no-tables", "wrong-structure",
@@ -244,6 +279,8 @@ class TestVerifyCommand:
             "ragged-matrix", "ragged-coupling",
             "float-base", "string-base", "bool-base", "negative-k", "bool-k",
             "float-constant", "bool-constant", "float-multiplicity", "float-root", "bool-den",
+            "string-partition", "float-gamma-part", "bool-partition-part",
+            "string-coupling-coefficient", "negative-constant", "refined-row-beyond-limit",
         ],
     )
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):

@@ -276,6 +276,27 @@ class TestSquareClassFormula:
         assert red.render_text() == "2 * (N - 1)"
         assert not f.unreduced
 
+    def test_value_of_a_reduced_poly_class(self):
+        # 72 N^3 (N - 1)^2 (2N + 3) / 5 ~ 2 * 5 * N * (2N + 3)
+        value = Poly((0, 0, 0, 72)) * Poly((-1, 1)) ** 2 * Poly((3, 2)) * Fraction(1, 5)
+        f = SquareClassFormula.one().with_poly_value(value, Binomials.unit(0)).reduced()
+        assert f.value() == Poly((0, 1)) * Poly((3, 2)) * 10
+        assert SquareClassFormula.one().value() == Poly.const(1)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_value_needs_constant_exponents(self, k):
+        with pytest.raises(ValueError, match="not a constant"):
+            SquareClassFormula.from_integer(3, Binomials.unit(k)).value()
+        poly = SquareClassFormula.one().with_poly_value(Poly((2, 1)), Binomials.unit(k))
+        with pytest.raises(ValueError, match="not a constant"):
+            poly.value()
+
+    def test_value_rejects_a_negative_exponent_and_det_b(self):
+        with pytest.raises(ValueError, match="not a constant"):
+            SquareClassFormula.from_integer(Fraction(1, 3), Binomials.unit(0)).value()
+        with pytest.raises(ValueError, match="det"):
+            SquareClassFormula(detB_exponent=Poly.const(1)).value()
+
     def test_unreduced_flag(self):
         f = SquareClassFormula.one().with_poly_value(Poly((1, 0, 1)), Binomials.unit(0))
         assert f.unreduced

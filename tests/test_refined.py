@@ -9,7 +9,7 @@ import symdet.combinat
 import symdet.exact
 import symdet.refined
 from symdet.combinat import Partition, partitions_of
-from symdet.exact import Poly, interpolate, poly_matrix_det
+from symdet.exact import Binomials, Poly, SquareClassFormula, interpolate, poly_matrix_det
 from symdet.refined import (
     ConcreteTensor,
     all_disjoint_chains,
@@ -176,10 +176,10 @@ class TestConstituentPoly:
     def test_known_couplings(self):
         c = constituent_poly(P((3, 1)), P((2,)))
         assert c.c_matrix == ((Poly((0, 16)),),)  # 16N, reduced N
-        assert c.c_reduced == Poly((0, 1))
+        assert c.c_reduced.value() == Poly((0, 1))
         c = constituent_poly(P((3, 1)), P((1, 1)))
         assert c.c_matrix == ((Poly((64, 32)),),)  # 32(N+2)
-        assert c.c_reduced == Poly((4, 2))
+        assert c.c_reduced.value() == Poly((4, 2))
 
     def test_reference_norm_is_the_product_of_the_group_orders(self):
         # the coupling's scale |C| / |C'| rests on <e' w0, e' w0> = |C'| |R'|
@@ -225,13 +225,13 @@ class TestConstituentPoly:
             )
             assert c.c_det == expect, n
             const = {4: 3, 5: 1, 6: 5}[n]
-            assert c.c_reduced == Poly((-(n - 2), 1)) * const
+            assert c.c_reduced.value() == Poly((-(n - 2), 1)) * const
 
     def test_five_two_three_has_multiplicity_two(self):
         c = constituent_poly(P((5, 2)), P((3,)))
         assert c.multiplicity == 2
         roots = (2, -1, -2, -6)
-        assert c.c_reduced == math.prod((Poly((-r, 1)) for r in roots), start=Poly.const(10))
+        assert c.c_reduced.value() == math.prod((Poly((-r, 1)) for r in roots), start=Poly.const(10))
 
     def test_scan_cannot_pass_the_multiplicity(self, monkeypatch):
         # with the target raised by one, the candidate chains must run out
@@ -327,6 +327,17 @@ class TestRefinedDecomposition:
             assert c.c_det == poly_matrix_det([list(row) for row in c.c_matrix])
             assert c.c_det
             assert len(c.chains) == c.multiplicity
+
+    @pytest.mark.parametrize(
+        "shape", [p for n in range(2, 8) for p in partitions_of(n)], ids=str
+    )
+    def test_every_class_is_held_reduced(self, shape):
+        result = refined_decomposition(shape)
+        assert result.refined_det == result.refined_det.reduced()
+        for c in result.constituents:
+            exact = SquareClassFormula.one().with_poly_value(c.c_det, Binomials.unit(0))
+            assert c.c_reduced == exact.reduced()
+            assert not c.c_reduced.unreduced
 
     def test_degree_limit(self):
         with pytest.raises(ValueError):
