@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .combinat import Partition, partitions_of
@@ -258,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel workers for the Gram blocks of sym (default: all cores)",
+        "--jobs", type=int, default=1,
+        help="parallel workers for the Gram blocks of sym (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -281,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is None:
-        args.jobs = os.cpu_count() or 1
     if args.jobs < 1:
         parser.error("--jobs must be positive")
 

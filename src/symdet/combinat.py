@@ -3,14 +3,22 @@
 The tableau frame fixes the row-major labeling of diagram boxes by
 1..n; its row and column label sets generate the two permutation
 groups that the symmetrizer module materializes.
+
+The semistandard tableaux of a shape are enumerated once, for every
+pattern together, by filling each letter as a horizontal strip
+(:func:`_tableaux_by_pattern`); :func:`ssyt_with_pattern` looks one
+pattern up in that table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .exact import Poly
 
@@ -131,47 +139,54 @@ def frame_of(shape: Partition) -> TableauFrame:
     return TableauFrame(shape, tuple(rows), tuple(cols))
 
 
+@lru_cache(maxsize=None)
+def _tableaux_by_pattern(shape: Partition) -> Mapping[Pattern, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Every semistandard tableau of ``shape`` on the letters 1..k for some k, by pattern.
+
+    Letter j+1 fills a nonempty horizontal strip (no two boxes in one
+    column) of the boxes that letters 1..j leave free: row i grows to
+    at most min(lambda_i, mu_{i-1}) for the filled lengths mu.  Every
+    branch ends in a tableau, since the first unfilled row can always
+    take one more box.  Each pattern's tableaux are sorted by their
+    row-major reading, which fixes the basis order of every Gram block.
+    """
+    parts = shape.parts
+    groups: dict[Pattern, list[tuple[tuple[int, ...], ...]]] = {}
+    rows: list[list[int]] = [[] for _ in parts]
+
+    def fill(filled: tuple[int, ...], pattern: Pattern) -> None:
+        if filled == parts:
+            groups.setdefault(pattern, []).append(tuple(map(tuple, rows)))
+            return
+        letter = len(pattern) + 1
+        tops = [min(p, filled[i - 1]) if i else p for i, p in enumerate(parts)]
+        for grown in itertools.product(*map(range, filled, [t + 1 for t in tops])):
+            added = sum(grown) - sum(filled)
+            if added:
+                for row, a, b in zip(rows, filled, grown):
+                    row.extend([letter] * (b - a))
+                fill(grown, pattern + (added,))
+                for row, a in zip(rows, filled):
+                    del row[a:]
+
+    fill((0,) * len(parts), ())
+    # rows of one shape have fixed lengths, so tuple order is reading-word order
+    return MappingProxyType({p: tuple(sorted(tabs)) for p, tabs in groups.items()})
+
+
 def ssyt_with_pattern(shape: Partition, pattern: Pattern) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All semistandard fillings of ``shape`` with letter i+1 used pattern[i] times.
 
     Rows weakly increase, columns strictly increase.  Tableaux are
-    returned sorted by the lexicographic order of their row-major
-    reading, which fixes the basis order of every Gram block.
+    sorted by the lexicographic order of their row-major reading.
     """
-    n = shape.n
-    if sum(pattern) != n:
+    if sum(pattern) != shape.n:
         raise ValueError("pattern must sum to the partition weight")
-    if n == 0:
-        return ((),)
-    remaining = list(pattern)
-    rows = [[0] * p for p in shape.parts]
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    cells = [(r, c) for r, p in enumerate(shape.parts) for c in range(p)]
-
-    def backtrack(idx: int) -> None:
-        if idx == n:
-            out.append(tuple(tuple(row) for row in rows))
-            return
-        r, c = cells[idx]
-        lo = rows[r][c - 1] if c > 0 else 1
-        above = rows[r - 1][c] if r > 0 else 0
-        lo = max(lo, above + 1)
-        for letter in range(lo, len(remaining) + 1):
-            if remaining[letter - 1] == 0:
-                continue
-            remaining[letter - 1] -= 1
-            rows[r][c] = letter
-            backtrack(idx + 1)
-            remaining[letter - 1] += 1
-        rows[r][c] = 0
-
-    backtrack(0)
-    out.sort(key=lambda t: tuple(x for row in t for x in row))
-    return tuple(out)
+    if any(m <= 0 for m in pattern):
+        raise ValueError("pattern entries must be positive")
+    return _tableaux_by_pattern(shape).get(tuple(pattern), ())
 
 
-@lru_cache(maxsize=None)
 def kostka(shape: Partition, pattern: Pattern) -> int:
     return len(ssyt_with_pattern(shape, pattern))
 
@@ -292,6 +307,4 @@ def enumerate_ssyt(shape: Partition, max_letter: int) -> list[tuple[tuple[int, .
 
 
 def _increasing_tuples(k: int, max_letter: int):
-    import itertools
-
     return itertools.combinations(range(1, max_letter + 1), k)

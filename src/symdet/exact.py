@@ -373,28 +373,28 @@ def interpolate(points: list[tuple[int, Rat]], degree_bound: int) -> Poly:
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
+    """Determinant of an integer matrix by fraction-free elimination.
+
+    Each row's content (the gcd of its entries) is taken out first, which
+    keeps the intermediate entries small, and multiplied back at the end.
+    """
+    contents = [math.gcd(*row) for row in matrix]
+    if not all(contents):
+        return 0
+    scale = math.prod(contents)
+    rows = [[x // g for x in row] for row, g in zip(matrix, contents)]
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+    while len(rows) > 1:  # rows hold the columns not yet eliminated
+        if not rows[0][0]:
+            i = next((i for i, row in enumerate(rows) if row[0]), None)
+            if i is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            rows[0], rows[i] = rows[i], rows[0]
+            scale = -scale
+        (p, *top), *rest = rows
+        rows = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
+        prev = p
+    return scale * rows[0][0] if rows else scale
 
 
 def poly_matrix_det(matrix: list[list[Poly]]) -> Poly:

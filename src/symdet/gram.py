@@ -9,18 +9,20 @@ product over patterns of det(block)^C(N,k), times det(B) raised to the
 exact exponent dim * n / N.
 
 :func:`symmetrization_determinant` builds every block of one shape for
-the exact product.  :func:`determinant_classes` needs the class modulo
-rational squares only, and builds no block.  Take B orthonormal: the
-tensor form is then contravariant for gl_N (E_ij* = E_ji), and the
-image e V^(x)n is the irreducible module S_lambda(V), so the form is
-c_lambda times the contravariant form under which the Gelfand-Tsetlin
-basis is orthogonal, with the closed-form norms of Molev,
-"Gelfand-Tsetlin bases for classical Lie algebras" (Handbook of
-Algebra 4, 2006, arXiv:math/0211289), Thm 2.7.  The tableau images
-and the GT vectors are both rational bases, so at a concrete N = m the
-class of the whole form is c_lambda^dim times the product of every GT
-norm with top row lambda padded to m.  Its values at m = 0..n fix the
-C(N,k) exponents.
+the exact product, serially unless more than one job is asked for, and
+:func:`gram_block` accumulates each block key by key over the column
+classes of its tableau images.  :func:`determinant_classes` needs the
+class modulo rational squares only, and builds no block.  Take B
+orthonormal: the tensor form is then contravariant for gl_N
+(E_ij* = E_ji), and the image e V^(x)n is the irreducible module
+S_lambda(V), so the form is c_lambda times the contravariant form under
+which the Gelfand-Tsetlin basis is orthogonal, with the closed-form
+norms of Molev, "Gelfand-Tsetlin bases for classical Lie algebras"
+(Handbook of Algebra 4, 2006, arXiv:math/0211289), Thm 2.7.  The
+tableau images and the GT vectors are both rational bases, so at a
+concrete N = m the class of the whole form is c_lambda^dim times the
+product of every GT norm with top row lambda padded to m.  Its values
+at m = 0..n fix the C(N,k) exponents.
 """
 
 from __future__ import annotations
@@ -90,6 +92,11 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
 
         entry(s,t) = |C| * sum_key a_s[key] * a_t[key] * w(key).
 
+    The block is the sparse product A W A^T of the class coefficients
+    A[s][key] = a_s[key] and the diagonal weights W: it is accumulated
+    key by key, over the pairs of tableaux that hold each key, and only
+    the upper triangle is summed.
+
     Every entry is a multiple of |C|, so the determinant is
     |C|^size times the fraction-free (Bareiss) determinant of the
     |C|-free matrix.
@@ -98,27 +105,28 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     if not tableaux:
         raise NoTableauxError(f"no tableaux for shape {shape} pattern {pattern}")
     frame = frame_of(shape)
-    classes = [
-        column_classes(shape, row_sum_sorted_tail(shape, {word_of_tableau(frame, t): 1}))
-        for t in tableaux
-    ]
-    weighted = classes
+    holders: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # key -> [(s, a_s[key])], s ascending
+    for s, t in enumerate(tableaux):
+        classes = column_classes(shape, row_sum_sorted_tail(shape, {word_of_tableau(frame, t): 1}))
+        for key, c in classes.items():
+            holders.setdefault(key, []).append((s, c))
     free = free_tail(shape)
-    if free > 1:
-        tail = slice(shape.parts[0] - free, shape.parts[0])
-        w = {
-            letters: math.factorial(free) // stabilizer_order(letters)
-            for letters in {key[tail] for a in classes for key in a}
-        }
-        weighted = [{key: c * w[key[tail]] for key, c in a.items()} for a in classes]
-    size = len(classes)
+    tail = slice(shape.parts[0] - free, shape.parts[0])
+    weights = {
+        letters: math.factorial(free) // stabilizer_order(letters)
+        for letters in {key[tail] for key in holders}
+    }
+    size = len(tableaux)
     reduced = [[0] * size for _ in range(size)]
+    for key, held in holders.items():
+        w = weights[key[tail]]
+        for x, (s, c) in enumerate(held):
+            row, wc = reduced[s], w * c
+            for t, d in held[x:]:
+                row[t] += wc * d
     for i in range(size):
-        for j in range(i, size):
-            a, b = classes[i], weighted[j]
-            if len(b) < len(a):
-                a, b = classes[j], weighted[i]
-            reduced[i][j] = reduced[j][i] = sum(c * b.get(key, 0) for key, c in a.items())
+        for j in range(i):
+            reduced[i][j] = reduced[j][i]
     col_order = math.prod(math.factorial(len(col)) for col in frame.cols)
     matrix = tuple(tuple(col_order * v for v in row) for row in reduced)
     det = col_order**size * bareiss_det(reduced)
@@ -151,9 +159,10 @@ def patterns_of(shape: Partition) -> list[Pattern]:
 def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
     """Every Gram block of one shape and the exact determinant formula.
 
-    The blocks go to one pool of min(jobs, cores, patterns) workers, or
-    are built serially when that is 1; either way they keep the order
-    of ``patterns_of``, and det(block)^C(N,k) is multiplied in it.
+    The blocks are built serially when min(jobs, cores, patterns) is 1,
+    as it is at the default jobs = 1, and otherwise go to one pool of
+    that many workers; either way they keep the order of
+    ``patterns_of``, and det(block)^C(N,k) is multiplied in it.
     """
     if shape.n < 1:
         raise ValueError("need a partition of n >= 1")

@@ -48,15 +48,21 @@ Coeff = int | Fraction
 
 @lru_cache(maxsize=None)
 def _symmetrizer_tables(shape: Partition):
-    """Row segments and column readers of the row-major frame.
+    """Row segments, column readers and the class-key placer of the row-major frame.
 
     A segment (a, b) spans the positions of one row; a reader
     (positions, getter) returns the letters of one column of length >= 2.
+    The placer (None without such a column) maps the sorted letters of
+    those columns, in reader order, followed by the whole word, to the
+    word with each such column sorted in place.
     """
     frame = frame_of(shape)
     segs = tuple((row[0], row[-1] + 1) for row in frame.rows)
-    readers = tuple((col, itemgetter(*col)) for col in frame.cols if len(col) > 1)
-    return segs, readers
+    cols = [col for col in frame.cols if len(col) > 1]
+    readers = tuple((col, itemgetter(*col)) for col in cols)
+    sorted_at = {p: i for i, p in enumerate(p for col in cols for p in col)}
+    place = itemgetter(*(sorted_at.get(p, len(sorted_at) + p) for p in range(shape.n))) if cols else None
+    return segs, readers, place
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +75,7 @@ def _column_group(shape: Partition):
     gives a sort.  With no column of length >= 2 the group is trivial and
     ``tuple`` is the identity.
     """
-    _, readers = _symmetrizer_tables(shape)
+    _, readers, _ = _symmetrizer_tables(shape)
     if not readers:
         return ((tuple, 1),)
     cols = [col for col, _ in readers]
@@ -124,7 +130,7 @@ def free_tail(shape: Partition) -> int:
 
 def _row_sum(shape: Partition, terms: dict[Word, Coeff], free: int) -> dict[Word, Coeff]:
     """R*x restricted to the words whose last ``free`` letters of row 1 are sorted."""
-    segs, _ = _symmetrizer_tables(shape)
+    segs, _, _ = _symmetrizer_tables(shape)
     classes: dict[Word, Coeff] = {}
     for word, coeff in terms.items():
         key = tuple(x for a, b in segs for x in sorted(word[a:b]))
@@ -167,6 +173,14 @@ def row_sum_sorted_tail(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word
     return _row_sum(shape, terms, free_tail(shape))
 
 
+@lru_cache(maxsize=None)
+def _column_sort(letters: Word) -> tuple[Word, int] | None:
+    """A column's sorted letters and the inversion parity of the sort; None if a letter repeats."""
+    if len(set(letters)) < len(letters):
+        return None
+    return tuple(sorted(letters)), sum(a > b for a, b in itertools.combinations(letters, 2)) & 1
+
+
 def column_classes(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
     """Terms merged by column-sorted form, each times the sign of its sort.
 
@@ -174,24 +188,24 @@ def column_classes(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coe
     <x, C y> = sgn(x) sgn(y) when x and y have the same column-sorted form
     and 0 otherwise; C x = sgn(x) C key for the sorted form key of x.  A
     word with a repeated letter inside a column has C x = 0 and no class.
+    Each column's sort is looked up by its letters (:func:`_column_sort`).
     """
-    _, readers = _symmetrizer_tables(shape)
+    _, readers, place = _symmetrizer_tables(shape)
     if not readers:  # C is trivial: each word is its own class
         return {w: c for w, c in terms.items() if c}
     classes: dict[Word, Coeff] = {}
     for word, coeff in terms.items():
-        key = list(word)
-        for cols, read in readers:
-            col = read(word)
-            if len(set(col)) < len(col):
+        images: Word = ()
+        odd = 0
+        for _, read in readers:
+            sort = _column_sort(read(word))
+            if sort is None:
                 break
-            if sum(a > b for a, b in itertools.combinations(col, 2)) % 2:
-                coeff = -coeff
-            for p, x in zip(cols, sorted(col)):
-                key[p] = x
+            images += sort[0]
+            odd ^= sort[1]
         else:
-            k = tuple(key)
-            classes[k] = classes.get(k, 0) + coeff
+            key = place(images + word)
+            classes[key] = classes.get(key, 0) + (-coeff if odd else coeff)
     return {k: c for k, c in classes.items() if c}
 
 

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 
 from symdet.cli import main, parse_partition
-from symdet.combinat import Partition
+from symdet.combinat import Partition, partitions_of
 from symdet.gram import gram_block, patterns_of
 
 
@@ -347,12 +347,26 @@ class TestPinnedOutput:
              "36e317b52f7fc92f4f9a44307d8266951ad6e797e05ffa01ed61eaf1eea06e14"),
             (("--format", "json", "refined", "3,3,1"),
              "89ddafa7bf03c3f33e8e3430848b14e2c8308dbd83bdf31284945e9b28c93745"),
+            # no free tail, and a free tail of 2
+            (("--format", "json", "sym", "4,4"),
+             "321f4c0c31ac5ca9af1a2316de7493b0c246a55a925a3e7c6138f439d3f4aca1"),
+            (("--format", "json", "sym", "5,3"),
+             "545237a2e74c19eddf7c5de26a1a2948c6dab6b565f7bf3bf225f3e44ed77a13"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out = run(capsys, "--jobs", "1", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_sym_json_through_weight_seven(self, capsys):
+        digest = hashlib.sha256()
+        for n in range(2, 8):
+            for shape in partitions_of(n):
+                code, out = run(capsys, "--format", "json", "sym", ",".join(map(str, shape.parts)))
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == "01cd210804d9ed5466631d08a0b64014f716f156accacfd45882533f7e28ef72"
 
 
 class TestDeterminism:
@@ -410,6 +424,9 @@ class TestWorkerPool:
     )
     def test_one_pool_per_command(self, capsys, monkeypatch, fake_pool, command):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
+        code, _ = run(capsys, *command)
+        assert code == 0
+        assert fake_pool == []  # the default is one job, which builds no pool
         code, _ = run(capsys, "--jobs", "2", *command)
         assert code == 0
         # only sym builds Gram blocks; table and verify read classes from GT norms

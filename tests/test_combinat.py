@@ -74,6 +74,11 @@ class TestSSYT:
     def test_column_strictness_blocks(self):
         assert kostka(Partition((1, 1, 1)), (2, 1)) == 0
 
+    @pytest.mark.parametrize("pattern", [(2,), (2, 0, 1)])
+    def test_pattern_must_be_a_composition_of_n(self, pattern):
+        with pytest.raises(ValueError):
+            ssyt_with_pattern(Partition((2, 1)), pattern)
+
     def test_rows_and_columns_valid(self):
         for shape in partitions_of(5):
             for pattern in compositions_of(5):
@@ -90,6 +95,27 @@ class TestSSYT:
                 for pattern in compositions_of(n):
                     has_tableau = kostka(shape, pattern) > 0
                     assert dominates(shape, pattern) == has_tableau, (shape, pattern)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_brute_force_in_order(self, n):
+        # lay every distinct arrangement of the content out row by row, keep
+        # the semistandard ones, sort by reading word; contents with no
+        # tableau must come back empty
+        for shape in partitions_of(n):
+            for pattern in compositions_of(n):
+                content = [letter for letter, m in enumerate(pattern, 1) for _ in range(m)]
+                fillings = []
+                for word in set(permutations(content)):
+                    rows, start = [], 0
+                    for p in shape.parts:
+                        rows.append(word[start:start + p])
+                        start += p
+                    if all(r[i] <= r[i + 1] for r in rows for i in range(len(r) - 1)) and all(
+                        upper[c] < lower[c] for upper, lower in zip(rows, rows[1:]) for c in range(len(lower))
+                    ):
+                        fillings.append(tuple(rows))
+                fillings.sort(key=lambda t: tuple(x for row in t for x in row))
+                assert ssyt_with_pattern(shape, pattern) == tuple(fillings), (shape, pattern)
 
     def test_kostka_reorder_invariance(self):
         for shape in partitions_of(4):
