@@ -8,6 +8,11 @@ orthogonal group it further splits each symmetrization into refined
 constituents via paired-insertion embeddings and computes their
 coupling matrices and determinants.
 
+``import symdet`` loads no engine module.  Each name in ``__all__`` is
+imported from its module on first access (a module ``__getattr__``), so
+``from symdet import refined_decomposition`` loads the refined layer and
+what it needs, and the CLI loads only the modules of the command it runs.
+
 Main entry points
 -----------------
 - :func:`symdet.gram.symmetrization_determinant` (every Gram block of one shape)
@@ -20,32 +25,42 @@ Main entry points
 - ``symdet`` CLI (see :mod:`symdet.cli`)
 """
 
-from .combinat import Partition, compositions_of, dimension_poly, partitions_of
-from .exact import Binomials, Poly, SquareClassFormula, interpolate, poly_factor_rational, squarefree_part
-from .gram import closed_form_c, determinant_classes, gram_block, hook_block_det, symmetrization_determinant
-from .refined import constituent_gram, constituent_poly, phi_insert, pi_contract, refined_decomposition
+_EXPORTS = {
+    "Binomials": "exact",
+    "Partition": "combinat",
+    "Poly": "exact",
+    "SquareClassFormula": "exact",
+    "closed_form_c": "gram",
+    "compositions_of": "combinat",
+    "constituent_gram": "refined",
+    "constituent_poly": "refined",
+    "determinant_classes": "gram",
+    "dimension_poly": "combinat",
+    "gram_block": "gram",
+    "hook_block_det": "gram",
+    "interpolate": "exact",
+    "partitions_of": "combinat",
+    "phi_insert": "refined",
+    "pi_contract": "refined",
+    "poly_factor_rational": "exact",
+    "refined_decomposition": "refined",
+    "squarefree_part": "exact",
+    "symmetrization_determinant": "gram",
+}
 
-__all__ = [
-    "Binomials",
-    "Partition",
-    "Poly",
-    "SquareClassFormula",
-    "closed_form_c",
-    "compositions_of",
-    "constituent_gram",
-    "constituent_poly",
-    "determinant_classes",
-    "dimension_poly",
-    "gram_block",
-    "hook_block_det",
-    "interpolate",
-    "partitions_of",
-    "phi_insert",
-    "pi_contract",
-    "poly_factor_rational",
-    "refined_decomposition",
-    "squarefree_part",
-    "symmetrization_determinant",
-]
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *__all__])

@@ -5,6 +5,11 @@ up to a weight, ``refined`` for the orthogonal-group decomposition and
 ``verify`` to diff the engine against the embedded reference tables.
 Every command accepts ``--format text|json|latex`` (``verify`` prints
 text whatever the format); output is deterministic for an invocation.
+
+A command imports only the engine modules it runs: ``table`` needs
+:mod:`symdet.gram` alone, ``sym`` adds the symmetrizer, and the refined
+layer and the reference tables are imported under ``refined`` and
+``verify`` only.
 """
 
 from __future__ import annotations
@@ -13,11 +18,9 @@ import argparse
 import json
 import sys
 
-from .combinat import Partition, partitions_of
+from .combinat import Partition, dimension_str, partitions_of
 from .exact import Poly
-from .golden import load_golden, verify_refined, verify_sym
 from .gram import determinant_classes, symmetrization_determinant
-from .refined import MAX_REFINED_N, refined_decomposition
 
 MAX_TABLE_N = 9
 
@@ -49,6 +52,14 @@ def _poly_json(p: Poly) -> dict:
     }
 
 
+def _dimension_json(shape: Partition, dimension: Poly) -> dict:
+    """``_poly_json(dimension_poly(shape))``, its display read off the hook contents."""
+    return {
+        "coeffs": [str(c) for c in dimension.coeffs],
+        "display": dimension_str(shape),
+    }
+
+
 # ---------------------------------------------------------------------------
 # sym
 # ---------------------------------------------------------------------------
@@ -69,7 +80,7 @@ def _sym_payload(shape: Partition, jobs: int) -> dict:
     return {
         "partition": list(shape.parts),
         "n": shape.n,
-        "dimension": _poly_json(result.dimension),
+        "dimension": _dimension_json(shape, result.dimension),
         "blocks": blocks,
         "c_exact": result.c_formula.to_json(),
         "c_reduced": {**reduced.to_json(), "latex": reduced.render_latex()},
@@ -123,18 +134,17 @@ def cmd_sym(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     shapes = [shape for n in range(2, args.n + 1) for shape in partitions_of(n)]
-    rows = []
-    for shape, result in zip(shapes, determinant_classes(shapes)):
-        rows.append({
-            "n": shape.n,
-            "partition": list(shape.parts),
-            "dimension": _poly_json(result.dimension),
-            "c_reduced": result.c_reduced.to_json(),
-            "c_latex": result.c_reduced.render_latex(),
-        })
+    results = determinant_classes(shapes)
     if args.format == "json":
-        for row in rows:
-            del row["c_latex"]
+        rows = [
+            {
+                "n": r.shape.n,
+                "partition": list(r.shape.parts),
+                "dimension": _dimension_json(r.shape, r.dimension),
+                "c_reduced": r.c_reduced.to_json(),
+            }
+            for r in results
+        ]
         print(json.dumps(rows, indent=2))
     elif args.format == "latex":
         lines = [
@@ -143,20 +153,20 @@ def cmd_table(args: argparse.Namespace) -> int:
             "$n$ & $\\lambda$ & $d(\\lambda)$ & $c(\\lambda)$\\\\",
             "\\hline",
         ]
-        for row in rows:
-            part = ",".join(map(str, row["partition"]))
+        for r in results:
+            part = ",".join(map(str, r.shape.parts))
             lines.append(
-                f"{row['n']} & $({part})$ & ${row['dimension']['display']}$ & "
-                f"${row['c_latex']}$\\\\"
+                f"{r.shape.n} & $({part})$ & ${dimension_str(r.shape)}$ & "
+                f"${r.c_reduced.render_latex()}$\\\\"
             )
         lines += ["\\hline", "\\end{tabular}"]
         print("\n".join(lines))
     else:
-        for row in rows:
-            part = "(" + ",".join(map(str, row["partition"])) + ")"
+        for r in results:
+            part = "(" + ",".join(map(str, r.shape.parts)) + ")"
             print(
-                f"n={row['n']}  {part:16s} d = {row['dimension']['display']:42s} "
-                f"c = {row['c_reduced']['display']}"
+                f"n={r.shape.n}  {part:16s} d = {dimension_str(r.shape):42s} "
+                f"c = {r.c_reduced.render_text()}"
             )
     return 0
 
@@ -167,6 +177,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_refined(args: argparse.Namespace) -> int:
+    from .refined import refined_decomposition
+
     result = refined_decomposition(args.partition)
     constituents = []
     for c in result.constituents:
@@ -227,6 +239,8 @@ def cmd_refined(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .golden import verify_refined, verify_sym
+
     reports = []
     if args.scope in ("sym", "all"):
         reports.append(("sym", verify_sym(args.golden_tables)))
@@ -300,12 +314,16 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"beyond supported degree (2 <= n <= {MAX_TABLE_N})")
         return cmd_table(args)
     if args.command == "refined":
+        from .refined import MAX_REFINED_N
+
         if args.partition.n > MAX_REFINED_N:
             parser.error(
                 f"refined decomposition unsupported for n > {MAX_REFINED_N}"
             )
         return cmd_refined(args)
     if args.command == "verify":
+        from .golden import load_golden
+
         try:
             args.golden_tables = load_golden(args.golden)
         except (OSError, ValueError) as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -271,13 +272,34 @@ def dimension_poly(shape: Partition) -> Poly:
     """Number of semistandard tableaux with entries <= N, as a polynomial.
 
     Hook-content formula: the product over boxes of (N + content) / hook.
+    The (N + content) are multiplied on integer coefficients, and the
+    product is divided by the hook product once at the end.
     """
-    out = Poly.const(1)
+    coeffs = [1]  # ascending by degree
     hooks = 1
     for content, hook in _content_and_hook(shape):
-        out = out * Poly((content, 1))
+        coeffs = [content * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
         hooks *= hook
-    return out * Fraction(1, hooks)
+    return Poly(Fraction(c, hooks) for c in coeffs)
+
+
+def dimension_str(shape: Partition) -> str:
+    """``dimension_poly(shape).factored_str()``, read off the contents and the hook product.
+
+    The roots are the negated contents, so in ``factored_str``'s order the
+    factors are N, then (N-r) for each content -r < 0 with r ascending,
+    then (N+r) for each content r > 0 ascending; a factor of m boxes is
+    raised to ^m, and the product is over the hook product.
+    """
+    boxes = list(_content_and_hook(shape))
+    counts = Counter(content for content, _ in boxes)
+    hooks = math.prod(hook for _, hook in boxes)
+    pieces = []
+    for c in sorted(counts, key=lambda c: (c != 0, c > 0, abs(c))):
+        factor = "N" if c == 0 else f"(N-{-c})" if c < 0 else f"(N+{c})"
+        pieces.append(factor if counts[c] == 1 else f"{factor}^{counts[c]}")
+    body = "*".join(pieces) or "1"
+    return body if hooks == 1 else f"{body}/{hooks}"
 
 
 def detb_exponent(shape: Partition) -> Poly:

@@ -45,13 +45,6 @@ from .combinat import (
     ssyt_with_pattern,
 )
 from .exact import Binomials, Poly, SquareClassFormula, bareiss_det
-from .symmetrizer import (
-    column_classes,
-    free_tail,
-    row_sum_sorted_tail,
-    stabilizer_order,
-    word_of_tableau,
-)
 
 
 class NoTableauxError(ValueError):
@@ -101,6 +94,9 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     |C|^size times the fraction-free (Bareiss) determinant of the
     |C|-free matrix.
     """
+    # imported here, on the sym-only path: determinant_classes needs no symmetrizer
+    from .symmetrizer import column_classes, free_tail, row_sum_sorted_tail, stabilizer_order, word_of_tableau
+
     tableaux = ssyt_with_pattern(shape, pattern)
     if not tableaux:
         raise NoTableauxError(f"no tableaux for shape {shape} pattern {pattern}")

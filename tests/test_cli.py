@@ -352,6 +352,11 @@ class TestPinnedOutput:
              "321f4c0c31ac5ca9af1a2316de7493b0c246a55a925a3e7c6138f439d3f4aca1"),
             (("--format", "json", "sym", "5,3"),
              "545237a2e74c19eddf7c5de26a1a2948c6dab6b565f7bf3bf225f3e44ed77a13"),
+            # the widest table in the two formats that render the dimension display without JSON
+            (("--format", "text", "table", "--n", "9"),
+             "5acf04851ab701ba1b50ff42b651dd21e30a0d813296a9676e7a1bc1bbbbae55"),
+            (("--format", "latex", "table", "--n", "9"),
+             "3d8decadf6b5071140c045531e07c332ac6feaacfc29c1c5775721720c09857d"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

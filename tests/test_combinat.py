@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,7 @@ from symdet.combinat import (
     Partition,
     compositions_of,
     dimension_poly,
+    dimension_str,
     dominates,
     enumerate_ssyt,
     frame_of,
@@ -18,6 +20,7 @@ from symdet.combinat import (
     ssyt_with_pattern,
     standard_tableau_count,
 )
+from symdet.exact import Poly
 
 
 class TestPartitions:
@@ -132,6 +135,26 @@ class TestDimensionPoly:
             dimension_poly(Partition((3, 1))).factored_str() == "N*(N-1)*(N+1)*(N+2)/8"
         )
         assert dimension_poly(Partition((1, 1))).factored_str() == "N*(N-1)/2"
+
+    def test_display_from_hook_contents(self):
+        assert dimension_str(Partition((2, 1))) == "N*(N-1)*(N+1)/3"
+        assert dimension_str(Partition((2, 2))) == "N^2*(N-1)*(N+1)/12"
+        assert dimension_str(Partition((1,))) == "N"
+        assert dimension_str(Partition()) == "1"
+
+    def test_hook_content_rendering_matches_the_generic_factoring(self):
+        # the reference multiplies Fraction polynomials box by box and factors the product back
+        for n in range(13):
+            for shape in partitions_of(n):
+                conj = shape.conjugate()
+                reference, hooks = Poly.const(1), 1
+                for r, p in enumerate(shape.parts):
+                    for c in range(p):
+                        reference = reference * Poly((c - r, 1))
+                        hooks *= (p - c) + (conj[c] - r) - 1
+                reference = reference * Fraction(1, hooks)
+                assert dimension_poly(shape).coeffs == reference.coeffs, shape
+                assert dimension_str(shape) == reference.factored_str(), shape
 
     def test_matches_direct_enumeration(self):
         for n in range(2, 7):
