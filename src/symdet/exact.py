@@ -10,9 +10,10 @@ cofactor too large to certify that way raises instead of being passed
 by a probabilistic test.
 
 Polynomials, exponent combinations and formulas are immutable values.
-A square class has one form, the reduced :class:`SquareClassFormula`,
-and two classes are compared with ``==``; the class of one polynomial
-value reads back as one through :meth:`SquareClassFormula.value`.
+A square class has one form, the reduced :class:`SquareClassFormula`
+with one factor table, and two classes are compared with ``==``; the
+class of one polynomial value reads back as one through
+:meth:`SquareClassFormula.value`.
 """
 
 from __future__ import annotations
@@ -489,30 +490,33 @@ def _rational_primes(value: Fraction, exponent: Binomials) -> Iterator[tuple[int
         yield p, exponent * (-e)
 
 
+def _base_str(base: "int | Poly") -> str:
+    return f"({base})" if isinstance(base, Poly) else str(base)
+
+
 @dataclass(frozen=True)
 class SquareClassFormula:
     """A product ``prod base^exponent(N) * det(B)^detB_exponent(N)``.
 
-    Integer bases are primes; polynomial bases are coprime-coefficient
-    integer polynomials without rational roots beyond themselves (linear
-    in everything this engine produces), keyed by their coefficient tuple.
-    Factor exponents are integer combinations of C(N,k)
-    (:class:`Binomials`); the det(B) exponent is a polynomial in N.  The
-    ``unreduced`` flag marks formulas whose polynomial part could not be
-    split into linear factors, in which case no square-class reduction
-    was attempted on it.  A formula is immutable (its tables are
-    read-only copies), and two classes are equal when their
+    One table, ``factors``, holds every base with its exponent: primes
+    ascending, then :class:`Poly` bases (coprime integer coefficients, no
+    rational root beyond themselves, linear in everything this engine
+    produces) by their coefficients.  Exponents are integer combinations
+    of C(N,k) (:class:`Binomials`); the det(B) exponent is a polynomial
+    in N.  The ``unreduced`` flag marks formulas whose polynomial part
+    could not be split into linear factors, in which case no square-class
+    reduction was attempted on it.  A formula is immutable (its table is
+    a read-only copy), and two classes are equal when their
     :meth:`reduced` forms compare ``==``.
     """
 
-    prime_factors: Mapping[int, Binomials] = field(default_factory=dict)
-    poly_factors: Mapping[tuple[Fraction, ...], Binomials] = field(default_factory=dict)
+    factors: Mapping[int | Poly, Binomials] = field(default_factory=dict)
     detB_exponent: Poly = field(default_factory=Poly)
     unreduced: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "prime_factors", MappingProxyType(dict(self.prime_factors)))
-        object.__setattr__(self, "poly_factors", MappingProxyType(dict(self.poly_factors)))
+        order = sorted(self.factors, key=lambda b: (1, b.coeffs) if isinstance(b, Poly) else (0, b))
+        object.__setattr__(self, "factors", MappingProxyType({b: self.factors[b] for b in order}))
 
     # -- construction -------------------------------------------------------
 
@@ -530,11 +534,8 @@ class SquareClassFormula:
 
     def times(self, other: "SquareClassFormula", power: int = 1) -> "SquareClassFormula":
         """Product with other^power (power may be negative)."""
-        primes = ((p, e * power) for p, e in other.prime_factors.items())
-        polys = ((key, e * power) for key, e in other.poly_factors.items())
         return SquareClassFormula(
-            _add_exponents(self.prime_factors, primes),
-            _add_exponents(self.poly_factors, polys),
+            _add_exponents(self.factors, ((b, e * power) for b, e in other.factors.items())),
             self.detB_exponent + other.detB_exponent * power,
             self.unreduced or other.unreduced,
         )
@@ -542,19 +543,18 @@ class SquareClassFormula:
     def with_poly_value(self, value: Poly, exponent: Binomials) -> "SquareClassFormula":
         """Product with value(N)^exponent, splitting value into factors.
 
-        The content goes in through the prime table; linear factors
-        become polynomial bases.  A nonsplitting residual sets the
-        ``unreduced`` flag and is carried as an opaque polynomial base.
+        The content goes in as primes; linear factors become polynomial
+        bases.  A nonsplitting residual sets the ``unreduced`` flag and
+        is carried as an opaque polynomial base.
         """
         content, linear, residual = poly_factor_rational(value)
         if content < 0:
             raise ValueError("negative content in a Gram determinant")
-        bases = [(fac.coeffs, exponent * mult) for fac, mult in linear]
+        bases = [*_rational_primes(content, exponent), *((f, exponent * m) for f, m in linear)]
         if residual.degree > 0:
-            bases.append((residual.coeffs, exponent))
+            bases.append((residual, exponent))
         return SquareClassFormula(
-            _add_exponents(self.prime_factors, _rational_primes(content, exponent)),
-            _add_exponents(self.poly_factors, bases),
+            _add_exponents(self.factors, bases),
             self.detB_exponent,
             self.unreduced or residual.degree > 0,
         )
@@ -569,8 +569,7 @@ class SquareClassFormula:
         left untouched.
         """
         return SquareClassFormula(
-            {p: r for p, e in self.prime_factors.items() if (r := e.mod2())},
-            {key: r for key, e in self.poly_factors.items() if (r := e.mod2())},
+            {b: r for b, e in self.factors.items() if (r := e.mod2())},
             self.detB_exponent,
             self.unreduced,
         )
@@ -584,8 +583,7 @@ class SquareClassFormula:
         if self.detB_exponent:
             raise ValueError("a det(B) factor has no polynomial value")
         out = Poly.const(1)
-        polys = ((Poly(key), e) for key, e in self.poly_factors.items())
-        for base, e in [*self.prime_factors.items(), *polys]:
+        for base, e in self.factors.items():
             if len(e.coeffs) > 1 or e.coeffs[0] < 0:
                 raise ValueError(f"exponent {_exponent_str(e)} is not a constant >= 0")
             out = out * base ** e.coeffs[0]
@@ -594,12 +592,9 @@ class SquareClassFormula:
     def evaluate_class(self, n_value: int) -> int:
         """Squarefree representative at a concrete N (det(B) excluded)."""
         acc = Fraction(1)
-        for p, e in self.prime_factors.items():
+        for base, e in self.factors.items():
             if e(n_value) % 2:
-                acc *= p
-        for key, e in self.poly_factors.items():
-            if e(n_value) % 2:
-                v = Poly(key)(n_value)
+                v = base(n_value) if isinstance(base, Poly) else base
                 if v == 0:
                     raise ZeroDivisionError("formula degenerates at this N")
                 acc *= v
@@ -608,42 +603,27 @@ class SquareClassFormula:
     # -- display ------------------------------------------------------------
 
     def render_text(self, detb_name: str = "det(B)") -> str:
-        parts = []
-        for p in sorted(self.prime_factors):
-            parts.append(_render_power(str(p), self.prime_factors[p]))
-        for key in sorted(self.poly_factors):
-            base = Poly(key)
-            parts.append(_render_power(f"({base})", self.poly_factors[key]))
+        parts = [_render_power(_base_str(b), e) for b, e in self.factors.items()]
         if not self.detB_exponent.is_zero():
             es = str(self.detB_exponent)
             parts.append(detb_name if es == "1" else f"{detb_name}^({es})")
         return " * ".join(parts) if parts else "1"
 
     def render_latex(self) -> str:
-        parts = []
-        for p in sorted(self.prime_factors):
-            parts.append(f"{p}^{{{_exponent_str(self.prime_factors[p], _LATEX_BINOM, '')}}}")
-        for key in sorted(self.poly_factors):
-            es = _exponent_str(self.poly_factors[key], _LATEX_BINOM, "")
-            parts.append(f"({Poly(key)})^{{{es}}}")
+        parts = [
+            f"{_base_str(b)}^{{{_exponent_str(e, _LATEX_BINOM, '')}}}"
+            for b, e in self.factors.items()
+        ]
         if not self.detB_exponent.is_zero():
             parts.append(f"\\det(B)^{{{self.detB_exponent}}}")
         return " ".join(parts) if parts else "1"
 
     def to_json(self) -> dict:
-        factors = []
-        for p in sorted(self.prime_factors):
-            factors.append({
-                "base": str(p),
-                "exponent_binomials": _binomial_combo_json(self.prime_factors[p]),
-            })
-        for key in sorted(self.poly_factors):
-            factors.append({
-                "base": str(Poly(key)),
-                "exponent_binomials": _binomial_combo_json(self.poly_factors[key]),
-            })
         return {
-            "factors": factors,
+            "factors": [
+                {"base": str(b), "exponent_binomials": _binomial_combo_json(e)}
+                for b, e in self.factors.items()
+            ],
             "detB_exponent": str(self.detB_exponent),
             "display": self.render_text(),
             "unreduced": self.unreduced,

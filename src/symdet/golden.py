@@ -19,6 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from .cli import MAX_TABLE_N
 from .combinat import Partition, dominates, partitions_of
 from .exact import Binomials, Poly, SquareClassFormula
 from .gram import determinant_classes, gram_block
@@ -120,6 +121,8 @@ def _parse_golden(doc: dict) -> GoldenTables:
         shape_s, pat_s = key.split("|")
         shape = Partition(tuple(int(x) for x in shape_s.split(",")))
         pattern = tuple(int(x) for x in pat_s.split(","))
+        if shape.n > MAX_TABLE_N:
+            raise ValueError(f"matrix key {key!r} is beyond the limit n <= {MAX_TABLE_N}")
         if min(pattern) < 1 or sum(pattern) != shape.n or not dominates(shape, pattern):
             raise ValueError(f"matrix key {key!r} names a pattern with no tableau of its shape")
         if any(len(row) != len(mat) or any(type(x) is not int for x in row) for row in mat):

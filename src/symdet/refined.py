@@ -404,13 +404,16 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
     )
 
     # mod 2 reduction of each binomial coefficient commutes with the
-    # products below, so the reduced class stands in for the exact one
+    # products below, so the reduced class stands in for the exact one;
+    # c_det^(-d) is c_reduced^d, as every exponent of c_reduced is 1 and
+    # -d = d mod 2
     sym = determinant_classes([shape])[0]
     dim = sym.dimension
     det = replace(sym.c_reduced, detB_exponent=detb_exponent(shape))
     for c in constituents:
         sub = refined_decomposition(c.gamma)
         dim = dim - sub.refined_dimension * c.multiplicity
-        det = det.with_poly_value(c.c_det, Binomials.of(-sub.refined_dimension))
+        d = Binomials.of(sub.refined_dimension)
+        det = det.times(replace(c.c_reduced, factors=dict.fromkeys(c.c_reduced.factors, d)))
         det = det.times(sub.refined_det, power=-c.multiplicity)
     return RefinedResult(shape, constituents, dim, det.reduced())

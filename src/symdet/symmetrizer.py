@@ -71,9 +71,9 @@ def _column_group(shape: Partition):
 
     Only :func:`column_sum` builds these.  An element sends the positions
     of each column to one of their orderings, and its sign is the
-    inversion parity of those images, the sign :func:`column_classes`
-    gives a sort.  With no column of length >= 2 the group is trivial and
-    ``tuple`` is the identity.
+    inversion parity of those images, read off :func:`_column_sort` as
+    :func:`column_classes` reads the sign of a sort.  With no column of
+    length >= 2 the group is trivial and ``tuple`` is the identity.
     """
     _, readers, _ = _symmetrizer_tables(shape)
     if not readers:
@@ -82,12 +82,12 @@ def _column_group(shape: Partition):
     group = []
     for images in itertools.product(*map(itertools.permutations, cols)):
         source = list(range(shape.n))
-        inversions = 0
+        odd = 0
         for col, image in zip(cols, images):
-            inversions += sum(a > b for a, b in itertools.combinations(image, 2))
+            odd ^= _column_sort(image)[1]
             for src, dst in zip(col, image):
                 source[dst] = src
-        group.append((itemgetter(*source), -1 if inversions % 2 else 1))
+        group.append((itemgetter(*source), -1 if odd else 1))
     return tuple(group)
 
 

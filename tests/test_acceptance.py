@@ -332,8 +332,7 @@ def test_criterion_6_refined_determinant():
     # the stated closed formula, factor by factor
     c3 = Binomials.unit(3)
     n_binomials = Binomials.unit(1)
-    assert reduced.prime_factors == {2: n_binomials, 3: c3}
-    assert reduced.poly_factors == {(Fraction(-1), Fraction(1)): n_binomials}
+    assert reduced.factors == {2: n_binomials, 3: c3, Poly((-1, 1)): n_binomials}
     assert reduced.detB_exponent == Poly((-2, 0, 1))
     assert reduced.render_text() == "2^N * 3^C(N,3) * (N - 1)^N * det(B)^(N^2 - 2)"
 

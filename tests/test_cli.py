@@ -271,6 +271,9 @@ class TestVerifyCommand:
             _edited_golden(lambda doc: doc["refined"][0].update(class_constant=-1)),
             # refined accepts n <= 7, so a weight-8 row could never be checked
             _edited_golden(lambda doc: doc["refined"].append(dict(doc["refined"][0], partition=[8]))),
+            # sym goes to n <= 9, so a larger matrix key could never be checked
+            _edited_golden(lambda doc: doc["matrices"].update({"10|10": [[1]]})),
+            _edited_golden(lambda doc: doc["matrices"].update({"4,4,4|" + ",".join("1" * 12): [[1]]})),
         ],
         ids=[
             "missing", "not-json", "no-tables", "wrong-structure",
@@ -281,6 +284,7 @@ class TestVerifyCommand:
             "float-constant", "bool-constant", "float-multiplicity", "float-root", "bool-den",
             "string-partition", "float-gamma-part", "bool-partition-part",
             "string-coupling-coefficient", "negative-constant", "refined-row-beyond-limit",
+            "matrix-key-beyond-limit", "matrix-key-weight-twelve",
         ],
     )
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):
@@ -372,6 +376,16 @@ class TestPinnedOutput:
                 assert code == 0
                 digest.update(out.encode())
         assert digest.hexdigest() == "01cd210804d9ed5466631d08a0b64014f716f156accacfd45882533f7e28ef72"
+
+    def test_refined_json_through_weight_seven(self, capsys):
+        digest = hashlib.sha256()
+        shapes = [shape for n in range(2, 8) for shape in partitions_of(n)]
+        assert len(shapes) == 43
+        for shape in shapes:
+            code, out = run(capsys, "--format", "json", "refined", ",".join(map(str, shape.parts)))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == "d67de71c2c0bfcd086f043c0a5aff3541b5c4aec78b1c851eb10c499110a40de"
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -249,7 +250,7 @@ def _formula(factors) -> SquareClassFormula:
 
 
 def _snapshot(f: SquareClassFormula) -> tuple:
-    return dict(f.prime_factors), dict(f.poly_factors), f.detB_exponent, f.unreduced
+    return dict(f.factors), f.detB_exponent, f.unreduced
 
 
 class TestSquareClassFormula:
@@ -302,14 +303,16 @@ class TestSquareClassFormula:
         assert f.unreduced
 
     def test_tables_are_read_only_copies(self):
-        primes = {2: Binomials.unit(2)}
-        f = SquareClassFormula(primes)
-        primes[3] = Binomials.unit(1)
-        assert dict(f.prime_factors) == {2: Binomials.unit(2)}
+        factors = {2: Binomials.unit(2), Poly((-1, 1)): Binomials.unit(1)}
+        f = SquareClassFormula(factors)
+        factors[3] = Binomials.unit(1)
+        assert dict(f.factors) == {2: Binomials.unit(2), Poly((-1, 1)): Binomials.unit(1)}
         with pytest.raises(TypeError):
-            f.prime_factors[5] = Binomials.unit(3)
+            f.factors[5] = Binomials.unit(3)
+        with pytest.raises(TypeError):
+            f.factors[Poly((2, 1))] = Binomials.unit(3)
         with pytest.raises(AttributeError):
-            f.poly_factors.clear()
+            f.factors.clear()
 
     @given(
         st.lists(_FACTORS, max_size=4),
@@ -324,6 +327,29 @@ class TestSquareClassFormula:
         a.reduced()
         b.reduced()
         assert [_snapshot(a), _snapshot(b)] == snapshots
+
+    def test_rendering_of_prime_and_polynomial_bases(self):
+        f = SquareClassFormula.from_integer(18, Binomials.unit(2))
+        f = f.with_poly_value(Poly((2, 1)), Binomials.unit(3) * 3)
+        f = f.with_poly_value(Poly((-1, 1)), Binomials((1, 1)))
+        f = replace(f, detB_exponent=Poly((-2, 0, 1)))
+        text = "2^C(N,2) * 3^(2*C(N,2)) * (N - 1)^(1+N) * (N + 2)^(3*C(N,3)) * det(B)^(N^2 - 2)"
+        assert f.render_text() == text
+        assert f.render_latex() == (
+            "2^{\\binom{N}{2}} 3^{2\\binom{N}{2}} (N - 1)^{1+N} (N + 2)^{3\\binom{N}{3}} "
+            "\\det(B)^{N^2 - 2}"
+        )
+        assert f.to_json() == {
+            "factors": [
+                {"base": "2", "exponent_binomials": {"2": "1"}},
+                {"base": "3", "exponent_binomials": {"2": "2"}},
+                {"base": "N - 1", "exponent_binomials": {"0": "1", "1": "1"}},
+                {"base": "N + 2", "exponent_binomials": {"3": "3"}},
+            ],
+            "detB_exponent": "N^2 - 2",
+            "display": text,
+            "unreduced": False,
+        }
 
     def test_json_roundtrip_stable(self):
         import json

@@ -77,6 +77,6 @@ def test_determinant_classes_match_jantzen_to_weight_twelve():
     shapes = [s for n in range(2, 13) for s in partitions_of(n)]
     assert len(shapes) == 270
     for shape, result in zip(shapes, determinant_classes(shapes)):
-        factors = result.c_reduced.prime_factors
+        factors = result.c_reduced.factors
         got = {p: tuple(c % 2 for c in e.coeffs) for p, e in factors.items()}
         assert got == _jantzen_class(shape.parts), shape

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -305,13 +306,13 @@ class TestRefinedDecomposition:
         with pytest.raises(AttributeError):
             r.constituents.clear()
         with pytest.raises(AttributeError):
-            refined_decomposition(P((2, 2))).refined_det.prime_factors.clear()
+            refined_decomposition(P((2, 2))).refined_det.factors.clear()
         with pytest.raises(FrozenInstanceError):
             r.refined_dimension = Poly()
         with pytest.raises(FrozenInstanceError):
             r.constituents[0].multiplicity = 3
         assert len(refined_decomposition(P((3, 1))).constituents) == 2
-        assert refined_decomposition(P((2, 2))).refined_det.prime_factors
+        assert refined_decomposition(P((2, 2))).refined_det.factors
 
     @pytest.mark.parametrize(
         "shape", [p for n in range(2, 8) for p in partitions_of(n)], ids=str
@@ -349,6 +350,46 @@ class TestRefinedDecomposition:
         single = refined_decomposition(P((1,)))
         assert single.refined_dimension == Poly((0, 1))
         assert single.refined_det.detB_exponent == Poly.const(1)
+
+    def test_rendering_of_the_refined_two_one_determinant(self):
+        f = refined_decomposition(P((2, 1))).refined_det
+        text = "2^N * 3^C(N,3) * (N - 1)^N * det(B)^(N^2 - 2)"
+        assert f.render_text() == text
+        assert f.render_latex() == "2^{N} 3^{\\binom{N}{3}} (N - 1)^{N} \\det(B)^{N^2 - 2}"
+        assert f.to_json() == {
+            "factors": [
+                {"base": "2", "exponent_binomials": {"1": "1"}},
+                {"base": "3", "exponent_binomials": {"3": "1"}},
+                {"base": "N - 1", "exponent_binomials": {"1": "1"}},
+            ],
+            "detB_exponent": "N^2 - 2",
+            "display": text,
+            "unreduced": False,
+        }
+
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 2)], ids=str)
+    def test_each_coupling_determinant_is_factored_once(self, monkeypatch, shape):
+        factored = []
+        real = symdet.exact.poly_factor_rational
+
+        def counting(p):
+            factored.append(p)
+            return real(p)
+
+        monkeypatch.setattr(symdet.exact, "poly_factor_rational", counting)
+        refined_decomposition.cache_clear()
+        try:
+            results, todo = {}, [P(shape)]
+            while todo:  # every shape of the recursion, each decomposed once
+                s = todo.pop()
+                if s not in results:
+                    results[s] = refined_decomposition(s)
+                    todo += [c.gamma for c in results[s].constituents]
+        finally:
+            refined_decomposition.cache_clear()
+        couplings = [c.c_det for r in results.values() for c in r.constituents]
+        assert len(couplings) > 1
+        assert Counter(factored) == Counter(couplings)
 
 
 def _interpolated_coupling(shape, c):
