@@ -15,22 +15,24 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from types import MappingProxyType
 from typing import Mapping
 
-from .exact import Poly
+from .exact import Poly, Value
 
 Pattern = tuple[int, ...]  # letter multiplicities in increasing letter order
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """Non-increasing positive parts; the empty partition is allowed."""
+@total_ordering
+class Partition(Value):
+    """Non-increasing positive parts; the empty partition is allowed.
 
-    parts: tuple[int, ...] = ()
+    Partitions compare and order as their ``parts`` tuples.
+    """
+
+    __slots__ = ("parts",)
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -39,6 +41,15 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be non-increasing")
         object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __lt__(self, other):
+        return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def n(self) -> int:
@@ -109,17 +120,19 @@ def _compositions_length(n: int, k: int) -> list[Pattern]:
     return out
 
 
-@dataclass(frozen=True)
-class TableauFrame:
+class TableauFrame(Value):
     """Row-major labeling of the boxes of a shape by positions 0..n-1.
 
     ``rows``/``cols`` are the label sets of the horizontal and vertical
     partitions of {0,..,n-1}; the symmetrizer is built from them.
     """
 
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
+    __slots__ = ("shape", "rows", "cols")
+
+    def __init__(
+        self, shape: Partition, rows: tuple[tuple[int, ...], ...], cols: tuple[tuple[int, ...], ...]
+    ):
+        super().__init__(shape, rows, cols)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,8 @@ approximate: integers are factored by trial division alone, and a
 cofactor too large to certify that way raises instead of being passed
 by a probabilistic test.
 
-Polynomials, exponent combinations and formulas are immutable values.
+Polynomials, exponent combinations and formulas are immutable values
+(:class:`Value`, the slotted base of every value class in the package).
 A square class has one form, the reduced :class:`SquareClassFormula`
 with one factor table, and two classes are compared with ``==``; the
 class of one polynomial value reads back as one through
@@ -19,7 +20,6 @@ class of one polynomial value reads back as one through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from types import MappingProxyType
@@ -30,6 +30,47 @@ Rat = Union[int, Fraction]
 
 class DegreeBoundError(ValueError):
     """Sampled data is not polynomial of the assumed degree."""
+
+
+class Value:
+    """Immutable value whose fields are its ``__slots__``, set once by ``__init__``.
+
+    Two values are equal when they have the same class and equal field
+    tuples, and the hash is the hash of the field tuple.  The repr reads
+    ``Name(field=value, ...)``, assigning or deleting a field raises
+    AttributeError, and a pickle rebuilds the value through its
+    constructor, which takes the fields positionally in slot order.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +135,23 @@ def _as_fraction_tuple(coeffs: Iterable[Rat]) -> tuple[Fraction, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """Univariate polynomial in N with exact rational coefficients.
 
     Coefficients are stored ascending by degree; the zero polynomial has
     an empty coefficient tuple.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         object.__setattr__(self, "coeffs", _as_fraction_tuple(coeffs))
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     # -- basics ------------------------------------------------------------
 
@@ -422,8 +468,7 @@ def poly_matrix_det(matrix: list[list[Poly]]) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Binomials:
+class Binomials(Value):
     """Integer combination ``sum_k a_k * C(N,k)``, the exponent of a class factor.
 
     Coefficients are stored ascending by k with trailing zeros stripped,
@@ -431,13 +476,19 @@ class Binomials:
     falsy.  Reduction modulo squares is ``mod2`` on every coefficient.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def unit(k: int) -> "Binomials":
@@ -494,8 +545,7 @@ def _base_str(base: "int | Poly") -> str:
     return f"({base})" if isinstance(base, Poly) else str(base)
 
 
-@dataclass(frozen=True)
-class SquareClassFormula:
+class SquareClassFormula(Value):
     """A product ``prod base^exponent(N) * det(B)^detB_exponent(N)``.
 
     One table, ``factors``, holds every base with its exponent: primes
@@ -510,13 +560,19 @@ class SquareClassFormula:
     :meth:`reduced` forms compare ``==``.
     """
 
-    factors: Mapping[int | Poly, Binomials] = field(default_factory=dict)
-    detB_exponent: Poly = field(default_factory=Poly)
-    unreduced: bool = False
+    __slots__ = ("factors", "detB_exponent", "unreduced")
 
-    def __post_init__(self):
-        order = sorted(self.factors, key=lambda b: (1, b.coeffs) if isinstance(b, Poly) else (0, b))
-        object.__setattr__(self, "factors", MappingProxyType({b: self.factors[b] for b in order}))
+    def __init__(
+        self,
+        factors: Mapping[int | Poly, Binomials] = MappingProxyType({}),
+        detB_exponent: Poly = Poly(),
+        unreduced: bool = False,
+    ):
+        order = sorted(factors, key=lambda b: (1, b.coeffs) if isinstance(b, Poly) else (0, b))
+        super().__init__(MappingProxyType({b: factors[b] for b in order}), detB_exponent, unreduced)
+
+    def __reduce__(self):
+        return SquareClassFormula, (dict(self.factors), self.detB_exponent, self.unreduced)
 
     # -- construction -------------------------------------------------------
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import pkgutil
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .cli import MAX_TABLE_N
 from .combinat import Partition, dominates, partitions_of
-from .exact import Binomials, Poly, SquareClassFormula
+from .exact import Binomials, Poly, SquareClassFormula, Value
 from .gram import determinant_classes, gram_block
 from .refined import MAX_REFINED_N, refined_decomposition
 
@@ -30,28 +29,43 @@ from .refined import MAX_REFINED_N, refined_decomposition
 MAX_REORDER_SIZE = 4
 
 
-@dataclass(frozen=True)
-class SymRow:
-    partition: Partition
-    dimension: Poly
-    c_reduced: SquareClassFormula  # the det_class column, reduced modulo squares
+class SymRow(Value):
+    __slots__ = ("partition", "dimension", "c_reduced")
+
+    def __init__(
+        self,
+        partition: Partition,
+        dimension: Poly,
+        c_reduced: SquareClassFormula,  # the det_class column, reduced modulo squares
+    ):
+        super().__init__(partition, dimension, c_reduced)
 
 
-@dataclass(frozen=True)
-class RefinedRow:
-    partition: Partition
-    gamma: Partition
-    multiplicity: int
-    c_reduced: SquareClassFormula  # the coupling determinant's class, reduced modulo squares
+class RefinedRow(Value):
+    __slots__ = ("partition", "gamma", "multiplicity", "c_reduced")
+
+    def __init__(
+        self,
+        partition: Partition,
+        gamma: Partition,
+        multiplicity: int,
+        c_reduced: SquareClassFormula,  # the coupling determinant's class, reduced modulo squares
+    ):
+        super().__init__(partition, gamma, multiplicity, c_reduced)
 
 
-@dataclass
-class GoldenTables:
-    sym_rows: list[SymRow]
-    stretch_rows: list[SymRow]
-    refined_rows: list[RefinedRow]
-    matrices: dict[tuple[Partition, tuple[int, ...]], tuple[tuple[int, ...], ...]]
-    coupling_42_2: tuple[tuple[Poly, ...], ...]
+class GoldenTables(Value):
+    __slots__ = ("sym_rows", "stretch_rows", "refined_rows", "matrices", "coupling_42_2")
+
+    def __init__(
+        self,
+        sym_rows: list[SymRow],
+        stretch_rows: list[SymRow],
+        refined_rows: list[RefinedRow],
+        matrices: dict[tuple[Partition, tuple[int, ...]], tuple[tuple[int, ...], ...]],
+        coupling_42_2: tuple[tuple[Poly, ...], ...],
+    ):
+        super().__init__(sym_rows, stretch_rows, refined_rows, matrices, coupling_42_2)
 
 
 def _integer(x, least: float = -math.inf) -> int:
@@ -85,7 +99,8 @@ def _class_formula(det_class: list) -> SquareClassFormula:
 
 def load_golden(path: str | Path | None = None) -> GoldenTables:
     if path is None:
-        text = resources.files("symdet.data").joinpath("golden.json").read_text()
+        # pkgutil rather than importlib.resources, which loads inspect from Python 3.12 on
+        text = pkgutil.get_data(__package__, "data/golden.json").decode("utf-8")
     else:
         text = Path(path).read_text()
     try:
@@ -101,9 +116,12 @@ def _parse_golden(doc: dict) -> GoldenTables:
     def sym_rows(key: str) -> list[SymRow]:
         rows = []
         for row in doc[key]:
+            shape = _partition(row["partition"])
+            if shape.n > MAX_TABLE_N:
+                raise ValueError(f"{key} row {shape} is beyond the limit n <= {MAX_TABLE_N}")
             spec = row["dimension"]
             dim = _poly_from_roots(Fraction(1, _integer(spec["den"], 1)), spec["roots"])
-            rows.append(SymRow(_partition(row["partition"]), dim, _class_formula(row["det_class"])))
+            rows.append(SymRow(shape, dim, _class_formula(row["det_class"])))
         return rows
 
     refined_rows = []
@@ -147,10 +165,11 @@ def _parse_golden(doc: dict) -> GoldenTables:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerifyReport:
-    checked: int
-    mismatches: list[str]
+class VerifyReport(Value):
+    __slots__ = ("checked", "mismatches")
+
+    def __init__(self, checked: int, mismatches: list[str]):
+        super().__init__(checked, mismatches)
 
     @property
     def ok(self) -> bool:

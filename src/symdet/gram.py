@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from operator import xor
@@ -44,19 +43,18 @@ from .combinat import (
     frame_of,
     ssyt_with_pattern,
 )
-from .exact import Binomials, Poly, SquareClassFormula, bareiss_det
+from .exact import Binomials, Poly, SquareClassFormula, Value, bareiss_det
 
 
 class NoTableauxError(ValueError):
     """Requested a Gram block for a pattern admitting no tableaux."""
 
 
-@dataclass(frozen=True)
-class GramBlock:
-    shape: Partition
-    pattern: Pattern
-    matrix: tuple[tuple[int, ...], ...]
-    det: int
+class GramBlock(Value):
+    __slots__ = ("shape", "pattern", "matrix", "det")
+
+    def __init__(self, shape: Partition, pattern: Pattern, matrix: tuple[tuple[int, ...], ...], det: int):
+        super().__init__(shape, pattern, matrix, det)
 
     @property
     def size(self) -> int:
@@ -129,22 +127,27 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     return GramBlock(shape, pattern, matrix, det)
 
 
-@dataclass
-class SymDetResult:
-    shape: Partition
-    blocks: dict[Pattern, GramBlock]
-    c_formula: SquareClassFormula  # exact exponents, before square reduction
-    dimension: Poly
-    detB_exponent: Poly
+class SymDetResult(Value):
+    __slots__ = ("shape", "blocks", "c_formula", "dimension", "detB_exponent")
+
+    def __init__(
+        self,
+        shape: Partition,
+        blocks: dict[Pattern, GramBlock],
+        c_formula: SquareClassFormula,  # exact exponents, before square reduction
+        dimension: Poly,
+        detB_exponent: Poly,
+    ):
+        super().__init__(shape, blocks, c_formula, dimension, detB_exponent)
 
 
-@dataclass(frozen=True)
-class DetClass:
+class DetClass(Value):
     """Determinant class modulo squares and dimension of one shape."""
 
-    shape: Partition
-    c_reduced: SquareClassFormula
-    dimension: Poly
+    __slots__ = ("shape", "c_reduced", "dimension")
+
+    def __init__(self, shape: Partition, c_reduced: SquareClassFormula, dimension: Poly):
+        super().__init__(shape, c_reduced, dimension)
 
 
 def patterns_of(shape: Partition) -> list[Pattern]:

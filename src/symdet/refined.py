@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import Partition, detb_exponent, littlewood_multiplicity, partitions_of
-from .exact import Binomials, Poly, SquareClassFormula, poly_matrix_det
+from .exact import Binomials, Poly, SquareClassFormula, Value, poly_matrix_det
 from .gram import determinant_classes
 from .symmetrizer import column_sum, row_sum, symmetrize
 
@@ -40,13 +39,16 @@ Chain = tuple[tuple[int, int], ...]
 MAX_REFINED_N = 7
 
 
-@dataclass
-class ConcreteTensor:
-    """Sparse element of the n-th tensor power at concrete dimension."""
+class ConcreteTensor(Value):
+    """Sparse element of the n-th tensor power at concrete dimension.
 
-    degree: int
-    dim: int
-    terms: dict[Word, Fraction]
+    The fields are fixed; ``add`` updates the ``terms`` table in place.
+    """
+
+    __slots__ = ("degree", "dim", "terms")
+
+    def __init__(self, degree: int, dim: int, terms: dict[Word, Fraction]):
+        super().__init__(degree, dim, terms)
 
     def add(self, word: Word, coeff) -> None:
         c = self.terms.get(word, 0) + coeff
@@ -241,14 +243,19 @@ def all_disjoint_chains(n: int, j: int) -> list[Chain]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefinedConstituent:
-    gamma: Partition
-    multiplicity: int
-    chains: tuple[Chain, ...]
-    c_matrix: tuple[tuple[Poly, ...], ...]
-    c_det: Poly
-    c_reduced: SquareClassFormula  # class of c_det modulo squares, reduced
+class RefinedConstituent(Value):
+    __slots__ = ("gamma", "multiplicity", "chains", "c_matrix", "c_det", "c_reduced")
+
+    def __init__(
+        self,
+        gamma: Partition,
+        multiplicity: int,
+        chains: tuple[Chain, ...],
+        c_matrix: tuple[tuple[Poly, ...], ...],
+        c_det: Poly,
+        c_reduced: SquareClassFormula,  # class of c_det modulo squares, reduced
+    ):
+        super().__init__(gamma, multiplicity, chains, c_matrix, c_det, c_reduced)
 
 
 def _dummy_embed(chain: Chain, v: dict[Word, int], n: int, first: int) -> dict[Word, int]:
@@ -375,12 +382,17 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefinedResult:
-    shape: Partition
-    constituents: tuple[RefinedConstituent, ...]
-    refined_dimension: Poly
-    refined_det: SquareClassFormula  # class modulo squares, reduced
+class RefinedResult(Value):
+    __slots__ = ("shape", "constituents", "refined_dimension", "refined_det")
+
+    def __init__(
+        self,
+        shape: Partition,
+        constituents: tuple[RefinedConstituent, ...],
+        refined_dimension: Poly,
+        refined_det: SquareClassFormula,  # class modulo squares, reduced
+    ):
+        super().__init__(shape, constituents, refined_dimension, refined_det)
 
 
 @lru_cache(maxsize=None)
@@ -409,11 +421,12 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
     # -d = d mod 2
     sym = determinant_classes([shape])[0]
     dim = sym.dimension
-    det = replace(sym.c_reduced, detB_exponent=detb_exponent(shape))
+    det = SquareClassFormula(sym.c_reduced.factors, detb_exponent(shape), sym.c_reduced.unreduced)
     for c in constituents:
         sub = refined_decomposition(c.gamma)
         dim = dim - sub.refined_dimension * c.multiplicity
         d = Binomials.of(sub.refined_dimension)
-        det = det.times(replace(c.c_reduced, factors=dict.fromkeys(c.c_reduced.factors, d)))
+        c_power = SquareClassFormula(dict.fromkeys(c.c_reduced.factors, d), unreduced=c.c_reduced.unreduced)
+        det = det.times(c_power)
         det = det.times(sub.refined_det, power=-c.multiplicity)
     return RefinedResult(shape, constituents, dim, det.reduced())

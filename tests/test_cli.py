@@ -271,7 +271,11 @@ class TestVerifyCommand:
             _edited_golden(lambda doc: doc["refined"][0].update(class_constant=-1)),
             # refined accepts n <= 7, so a weight-8 row could never be checked
             _edited_golden(lambda doc: doc["refined"].append(dict(doc["refined"][0], partition=[8]))),
-            # sym goes to n <= 9, so a larger matrix key could never be checked
+            # sym goes to n <= 9, so a heavier table row or matrix key could never be checked
+            *(
+                _edited_golden(lambda doc, key=key: doc[key].append(dict(doc[key][0], partition=[6] * 5)))
+                for key in ("symmetrizations", "symmetrizations_stretch")
+            ),
             _edited_golden(lambda doc: doc["matrices"].update({"10|10": [[1]]})),
             _edited_golden(lambda doc: doc["matrices"].update({"4,4,4|" + ",".join("1" * 12): [[1]]})),
         ],
@@ -284,6 +288,7 @@ class TestVerifyCommand:
             "float-constant", "bool-constant", "float-multiplicity", "float-root", "bool-den",
             "string-partition", "float-gamma-part", "bool-partition-part",
             "string-coupling-coefficient", "negative-constant", "refined-row-beyond-limit",
+            "table-row-beyond-limit", "stretch-row-beyond-limit",
             "matrix-key-beyond-limit", "matrix-key-weight-twelve",
         ],
     )

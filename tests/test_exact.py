@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -332,7 +331,7 @@ class TestSquareClassFormula:
         f = SquareClassFormula.from_integer(18, Binomials.unit(2))
         f = f.with_poly_value(Poly((2, 1)), Binomials.unit(3) * 3)
         f = f.with_poly_value(Poly((-1, 1)), Binomials((1, 1)))
-        f = replace(f, detB_exponent=Poly((-2, 0, 1)))
+        f = SquareClassFormula(f.factors, Poly((-2, 0, 1)), f.unreduced)
         text = "2^C(N,2) * 3^(2*C(N,2)) * (N - 1)^(1+N) * (N + 2)^(3*C(N,3)) * det(B)^(N^2 - 2)"
         assert f.render_text() == text
         assert f.render_latex() == (

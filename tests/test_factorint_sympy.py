@@ -1,4 +1,4 @@
-"""Differential test of the trial-division ``factorint`` against sympy.
+"""Differential test of the trial-division ``factorint`` against sympy's primes.
 
 sympy is a test-only aid: without it this module is skipped.  The
 cofactors ``factorint`` must refuse are tested in ``test_exact``, which
@@ -6,6 +6,7 @@ needs no sympy.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,21 +20,19 @@ SMALL_PRIMES = list(sympy.primerange(2, 100_000))
 
 @st.composite
 def certifiable(draw):
-    """A product of primes below 10^5 times at most one prime below 10^10.
+    """A product of primes below 10^5 times at most one prime below 10^10, with its factorization.
 
-    sympy's first factorization of a number can take over a second, and
-    sympy caches the result.  Factoring n here, where hypothesis does not
-    count the time against the deadline, makes the test's own call a lookup.
+    sympy certifies every prime drawn, so the factorization is known from
+    the draw.  ``sympy.factorint`` of the product is not called: on some
+    draws its ECM stage runs for minutes.
     """
     primes = draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=8))
-    n = math.prod(primes)
     if draw(st.booleans()):
-        n *= sympy.prevprime(draw(st.integers(min_value=3, max_value=10**10)))
-    sympy.factorint(n)
-    return n
+        primes.append(sympy.prevprime(draw(st.integers(min_value=3, max_value=10**10))))
+    return math.prod(primes), dict(Counter(primes))
 
 
 @given(certifiable())
-def test_matches_sympy(n):
-    assert factorint(n) == sympy.factorint(n)
-
+def test_matches_sympy(case):
+    n, expected = case
+    assert factorint(n) == expected

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -298,7 +297,7 @@ class TestRefinedDecomposition:
         from symdet.gram import symmetrization_determinant
 
         sym = symmetrization_determinant(P((1, 1, 1)))
-        full = replace(sym.c_formula, detB_exponent=sym.detB_exponent)
+        full = SquareClassFormula(sym.c_formula.factors, sym.detB_exponent, sym.c_formula.unreduced)
         assert sym_det.reduced().render_text() == full.reduced().render_text()
 
     def test_cached_results_cannot_be_mutated(self):
@@ -307,9 +306,9 @@ class TestRefinedDecomposition:
             r.constituents.clear()
         with pytest.raises(AttributeError):
             refined_decomposition(P((2, 2))).refined_det.factors.clear()
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             r.refined_dimension = Poly()
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             r.constituents[0].multiplicity = 3
         assert len(refined_decomposition(P((3, 1))).constituents) == 2
         assert refined_decomposition(P((2, 2))).refined_det.factors

@@ -12,7 +12,8 @@ import symdet
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# prints the symdet modules loaded by `import symdet.cli` and those the command in argv adds
+# prints the symdet modules loaded by `import symdet.cli`, those the command in argv adds,
+# and every standard-library module loaded by the end
 _PROBE = """
 import contextlib, io, json, sys
 from symdet.cli import main
@@ -23,7 +24,8 @@ def loaded():
 before = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps({"import": sorted(before), "added": sorted(loaded() - before), "code": code}))
+stdlib = sorted(m for m in sys.modules if m.split(".")[0] in sys.stdlib_module_names)
+print(json.dumps({"import": sorted(before), "added": sorted(loaded() - before), "stdlib": stdlib, "code": code}))
 """
 
 
@@ -57,6 +59,17 @@ class TestCommandImports:
         assert result["code"] == 0
         assert "symdet.refined" in result["added"]
         assert "symdet.golden" not in result["added"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(), ("table", "--n", "3"), ("sym", "2,1"), ("refined", "2,1"), ("verify", "--scope", "refined")],
+        ids=["import", "table", "sym", "refined", "verify"],
+    )
+    def test_no_dataclasses_or_inspect(self, argv):
+        # both cost milliseconds of every cold start; the value classes are plain slotted classes
+        result = _probe(*argv)
+        assert result["code"] == 0
+        assert not {"dataclasses", "inspect"} & set(result["stdlib"])
 
 
 class TestLazyExports:

@@ -1,0 +1,73 @@
+"""The value classes: slotted, immutable, hashed and pickled by their field tuples."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from symdet.combinat import Partition, frame_of
+from symdet.exact import Binomials, Poly, SquareClassFormula, Value
+from symdet.golden import VerifyReport, load_golden
+from symdet.gram import determinant_classes, gram_block, symmetrization_determinant
+from symdet.refined import ConcreteTensor, refined_decomposition
+
+P = Partition
+
+
+def _instances():
+    golden = load_golden()
+    formula = SquareClassFormula.from_integer(12, Binomials.unit(2))
+    formula = formula.with_poly_value(Poly((-1, 1)), Binomials.unit(1))
+    refined = refined_decomposition(P((3, 1)))
+    return [
+        P((2, 1)),
+        frame_of(P((2, 1))),
+        Poly((1, 2)),
+        Binomials((1, 0, 1)),
+        SquareClassFormula(formula.factors, Poly((0, 1)), formula.unreduced),
+        gram_block(P((2, 1)), (1, 1, 1)),
+        symmetrization_determinant(P((2, 1))),
+        determinant_classes([P((2, 1))])[0],
+        ConcreteTensor(2, 3, {(1, 2): Fraction(1, 2)}),
+        refined.constituents[0],
+        refined,
+        golden.sym_rows[0],
+        golden.refined_rows[0],
+        golden,
+        VerifyReport(3, ["a mismatch"]),
+    ]
+
+
+VALUES = _instances()
+
+
+def test_every_value_class_is_covered():
+    classes = {type(x) for x in VALUES}
+    assert len(classes) == len(VALUES) == 15
+    assert all(isinstance(x, Value) and not hasattr(x, "__dict__") for x in VALUES)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
+def test_value_contract(value):
+    fields = tuple(getattr(value, name) for name in type(value).__slots__)
+    assert pickle.loads(pickle.dumps(value)) == value
+    try:
+        expected = hash(fields)
+    except TypeError:  # a list, dict or read-only mapping field
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == expected
+    with pytest.raises(AttributeError):
+        setattr(value, type(value).__slots__[0], None)
+    with pytest.raises(AttributeError):
+        delattr(value, type(value).__slots__[0])
+    assert getattr(value, type(value).__slots__[0]) is fields[0]
+
+
+def test_repr_and_order():
+    assert repr(P((2, 1))) == "Partition(parts=(2, 1))"
+    assert repr(Poly((1, 2))) == "Poly(coeffs=(Fraction(1, 1), Fraction(2, 1)))"
+    assert sorted([P((3,)), P((1, 1, 1)), P((2, 1))]) == [P((1, 1, 1)), P((2, 1)), P((3,))]
+    assert P((2, 1)) <= P((2, 1)) < P((3,)) and P((3,)) >= P((3,)) > P((2, 1))
+    assert P((2, 1)) != (2, 1) and Poly((1,)) != Binomials((1,))
