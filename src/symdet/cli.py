@@ -154,18 +154,16 @@ def cmd_table(args: argparse.Namespace) -> int:
             "\\hline",
         ]
         for r in results:
-            part = ",".join(map(str, r.shape.parts))
             lines.append(
-                f"{r.shape.n} & $({part})$ & ${dimension_str(r.shape)}$ & "
+                f"{r.shape.n} & ${r.shape}$ & ${dimension_str(r.shape)}$ & "
                 f"${r.c_reduced.render_latex()}$\\\\"
             )
         lines += ["\\hline", "\\end{tabular}"]
         print("\n".join(lines))
     else:
         for r in results:
-            part = "(" + ",".join(map(str, r.shape.parts)) + ")"
             print(
-                f"n={r.shape.n}  {part:16s} d = {dimension_str(r.shape):42s} "
+                f"n={r.shape.n}  {r.shape!s:16} d = {dimension_str(r.shape):42s} "
                 f"c = {r.c_reduced.render_text()}"
             )
     return 0
@@ -189,7 +187,7 @@ def cmd_refined(args: argparse.Namespace) -> int:
             "coupling_matrix": [[_poly_json(e) for e in row] for row in c.c_matrix],
             "coupling_det": _poly_json(c.c_det),
             "coupling_reduced": _poly_json(c.c_reduced.value()),
-            "reduced_ok": not c.c_reduced.unreduced,
+            "reduced_ok": True,  # fixed schema field: an unsplit coupling raises
         })
     payload = {
         "partition": list(args.partition.parts),
@@ -201,26 +199,22 @@ def cmd_refined(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "latex":
-        gammas = ",\\ ".join(
-            f"({','.join(map(str, c['gamma']))})" for c in constituents
-        ) or "-"
+        gammas = ",\\ ".join(str(c.gamma) for c in result.constituents) or "-"
         classes = ",\\ ".join(
             c["coupling_reduced"]["display"] for c in constituents
         ) or "-"
-        part = ",".join(map(str, payload["partition"]))
         print(
             "\\begin{tabular}{|c|c|l|}\n\\hline\n"
             "$\\lambda$ & $\\gamma$ & $c(\\lambda,\\gamma)$\\\\\n\\hline\n"
-            f"$({part})$ & ${gammas}$ & ${classes}$\\\\\n\\hline\n\\end{{tabular}}"
+            f"${args.partition}$ & ${gammas}$ & ${classes}$\\\\\n\\hline\n\\end{{tabular}}"
         )
     else:
-        lines = [f"partition: ({','.join(map(str, payload['partition']))})"]
+        lines = [f"partition: {args.partition}"]
         if not constituents:
             lines.append("no constituents: the refined space is the whole symmetrization")
-        for c in constituents:
-            gamma = "(" + ",".join(map(str, c["gamma"])) + ")"
+        for constituent, c in zip(result.constituents, constituents):
             lines.append(
-                f"gamma {gamma}  m={c['multiplicity']}  "
+                f"gamma {constituent.gamma}  m={c['multiplicity']}  "
                 f"c = {c['coupling_reduced']['display']}"
             )
             if c["multiplicity"] > 1:

@@ -20,7 +20,7 @@ from functools import lru_cache, total_ordering
 from types import MappingProxyType
 from typing import Mapping
 
-from .exact import Poly, Value
+from .exact import Poly, Value, factored_display
 
 Pattern = tuple[int, ...]  # letter multiplicities in increasing letter order
 
@@ -201,10 +201,6 @@ def ssyt_with_pattern(shape: Partition, pattern: Pattern) -> tuple[tuple[tuple[i
     return _tableaux_by_pattern(shape).get(tuple(pattern), ())
 
 
-def kostka(shape: Partition, pattern: Pattern) -> int:
-    return len(ssyt_with_pattern(shape, pattern))
-
-
 def dominates(shape: Partition, pattern: Pattern) -> bool:
     """Whether ``shape`` dominates the sorted ``pattern`` of the same weight.
 
@@ -299,20 +295,15 @@ def dimension_poly(shape: Partition) -> Poly:
 def dimension_str(shape: Partition) -> str:
     """``dimension_poly(shape).factored_str()``, read off the contents and the hook product.
 
-    The roots are the negated contents, so in ``factored_str``'s order the
-    factors are N, then (N-r) for each content -r < 0 with r ascending,
-    then (N+r) for each content r > 0 ascending; a factor of m boxes is
-    raised to ^m, and the product is over the hook product.
+    Each content c of the boxes gives the factor (N + c), raised to the
+    number of boxes with that content, and the constant is 1/(hook
+    product); no root is searched for.
     """
     boxes = list(_content_and_hook(shape))
     counts = Counter(content for content, _ in boxes)
+    linear = [(Poly((c, 1)), m) for c, m in counts.items()]
     hooks = math.prod(hook for _, hook in boxes)
-    pieces = []
-    for c in sorted(counts, key=lambda c: (c != 0, c > 0, abs(c))):
-        factor = "N" if c == 0 else f"(N-{-c})" if c < 0 else f"(N+{c})"
-        pieces.append(factor if counts[c] == 1 else f"{factor}^{counts[c]}")
-    body = "*".join(pieces) or "1"
-    return body if hooks == 1 else f"{body}/{hooks}"
+    return factored_display(Fraction(1, hooks), linear, Poly.const(1))
 
 
 def detb_exponent(shape: Partition) -> Poly:
@@ -335,11 +326,7 @@ def enumerate_ssyt(shape: Partition, max_letter: int) -> list[tuple[tuple[int, .
         if k > max_letter:
             continue
         for tab in ssyt_with_pattern(shape, pattern):
-            for letters in _increasing_tuples(k, max_letter):
+            for letters in itertools.combinations(range(1, max_letter + 1), k):
                 relabel = {i + 1: letters[i] for i in range(k)}
                 out.append(tuple(tuple(relabel[x] for x in row) for row in tab))
     return out
-
-
-def _increasing_tuples(k: int, max_letter: int):
-    return itertools.combinations(range(1, max_letter + 1), k)

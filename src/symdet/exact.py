@@ -12,9 +12,12 @@ by a probabilistic test.
 Polynomials, exponent combinations and formulas are immutable values
 (:class:`Value`, the slotted base of every value class in the package).
 A square class has one form, the reduced :class:`SquareClassFormula`
-with one factor table, and two classes are compared with ``==``; the
-class of one polynomial value reads back as one through
-:meth:`SquareClassFormula.value`.
+with one factor table of primes and rational linear factors, and two
+classes are compared with ``==``; a polynomial value that does not split
+into rational linear factors has no such class and raises.  The class of
+one polynomial value reads back as one through
+:meth:`SquareClassFormula.value`, and every factored polynomial is
+written out by :func:`factored_display`.
 """
 
 from __future__ import annotations
@@ -164,14 +167,6 @@ class Poly(Value):
         """Degree, with the zero polynomial reported as -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -203,7 +198,7 @@ class Poly(Value):
 
     def __mul__(self, other: "Poly | Rat") -> "Poly":
         other = _coerce(other)
-        if self.is_zero() or other.is_zero():
+        if not self.coeffs or not other.coeffs:
             return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -230,7 +225,7 @@ class Poly(Value):
 
     def content(self) -> Fraction:
         """gcd of the coefficients, signed by the leading coefficient."""
-        if self.is_zero():
+        if not self:
             return Fraction(0)
         num = 0
         den = 1
@@ -238,12 +233,12 @@ class Poly(Value):
             num = math.gcd(num, abs(c.numerator))
             den = den * c.denominator // math.gcd(den, c.denominator)
         g = Fraction(num, den)
-        return g if self.leading() > 0 else -g
+        return g if self.coeffs[-1] > 0 else -g
 
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self:
             return "0"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -260,39 +255,7 @@ class Poly(Value):
 
     def factored_str(self) -> str:
         """Product-of-linear-factors display, e.g. ``N*(N-1)/2``."""
-        if self.is_zero():
-            return "0"
-        content, linear, residual = poly_factor_rational(self)
-        pieces = []
-        if abs(content.numerator) != 1:
-            pieces.append(str(content.numerator))
-
-        def root_order(fm):
-            root = -fm[0].coeffs[0] / fm[0].coeffs[1]
-            if root == 0:
-                return (0, Fraction(0))
-            return (1, root) if root > 0 else (2, -root)
-
-        for fac, mult in sorted(linear, key=root_order):
-            if fac.leading() != 1:
-                s = f"({fac})"
-            else:
-                root = -fac.coeffs[0]
-                if root == 0:
-                    s = "N"
-                elif root > 0:
-                    s = f"(N-{root})"
-                else:
-                    s = f"(N+{-root})"
-            pieces.append(s if mult == 1 else f"{s}^{mult}")
-        if residual.degree > 0:
-            pieces.append(f"({residual})")
-        body = "*".join(pieces) if pieces else "1"
-        if content.numerator < 0:
-            body = "-" + body
-        if content.denominator != 1:
-            body += f"/{content.denominator}"
-        return body
+        return factored_display(*poly_factor_rational(self)) if self else "0"
 
 
 def _coerce(v: "Poly | Rat") -> Poly:
@@ -324,7 +287,7 @@ def poly_factor_rational(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Pol
     tested as sum a_i r^i q^(d-i) == 0 and divided out exactly (Gauss's
     lemma keeps the quotient integral with coprime coefficients).
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("cannot factor the zero polynomial")
     content = p.content()
     ints = [int(c / content) for c in p.coeffs]
@@ -379,6 +342,35 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // i)
         i += 1
     return out
+
+
+def factored_display(content: Fraction, linear: Iterable[tuple[Poly, int]], residual: Poly) -> str:
+    """``content * prod(factor**mult) * residual`` written as a product, e.g. ``N*(N-1)/2``.
+
+    The arguments take the form :func:`poly_factor_rational` returns.
+    The linear factors go in the order of their roots: N, then each
+    positive root ascending, then each negative root by its size.  A
+    monic factor prints as N, (N-r) or (N+r), any other as its
+    polynomial.  The content's numerator leads unless it is 1 or -1, its
+    sign heads the product and its denominator divides it.
+    """
+
+    def root_order(item: tuple[Poly, int]) -> tuple:
+        root = -item[0].coeffs[0] / item[0].coeffs[1]
+        return root != 0, root < 0, abs(root)
+
+    pieces = [] if abs(content.numerator) == 1 else [str(abs(content.numerator))]
+    for fac, mult in sorted(linear, key=root_order):
+        shift = fac.coeffs[0]
+        if fac.coeffs[1] != 1:
+            s = f"({fac})"
+        else:
+            s = "N" if shift == 0 else f"(N-{-shift})" if shift < 0 else f"(N+{shift})"
+        pieces.append(s if mult == 1 else f"{s}^{mult}")
+    if residual.degree > 0:
+        pieces.append(f"({residual})")
+    body = ("-" if content < 0 else "") + ("*".join(pieces) or "1")
+    return body if content.denominator == 1 else f"{body}/{content.denominator}"
 
 
 def interpolate(points: list[tuple[int, Rat]], degree_bound: int) -> Poly:
@@ -455,7 +447,7 @@ def poly_matrix_det(matrix: list[list[Poly]]) -> Poly:
         return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     out = Poly()
     for j in range(n):
-        if matrix[0][j].is_zero():
+        if not matrix[0][j]:
             continue
         minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
         term = matrix[0][j] * poly_matrix_det(minor)
@@ -549,30 +541,26 @@ class SquareClassFormula(Value):
     """A product ``prod base^exponent(N) * det(B)^detB_exponent(N)``.
 
     One table, ``factors``, holds every base with its exponent: primes
-    ascending, then :class:`Poly` bases (coprime integer coefficients, no
-    rational root beyond themselves, linear in everything this engine
-    produces) by their coefficients.  Exponents are integer combinations
-    of C(N,k) (:class:`Binomials`); the det(B) exponent is a polynomial
-    in N.  The ``unreduced`` flag marks formulas whose polynomial part
-    could not be split into linear factors, in which case no square-class
-    reduction was attempted on it.  A formula is immutable (its table is
-    a read-only copy), and two classes are equal when their
-    :meth:`reduced` forms compare ``==``.
+    ascending, then the linear :class:`Poly` bases q*N - r (q > 0,
+    gcd(q, r) = 1) by their coefficients.  Exponents are integer
+    combinations of C(N,k) (:class:`Binomials`); the det(B) exponent is a
+    polynomial in N.  A formula is immutable (its table is a read-only
+    copy), and two classes are equal when their :meth:`reduced` forms
+    compare ``==``.
     """
 
-    __slots__ = ("factors", "detB_exponent", "unreduced")
+    __slots__ = ("factors", "detB_exponent")
 
     def __init__(
         self,
         factors: Mapping[int | Poly, Binomials] = MappingProxyType({}),
         detB_exponent: Poly = Poly(),
-        unreduced: bool = False,
     ):
         order = sorted(factors, key=lambda b: (1, b.coeffs) if isinstance(b, Poly) else (0, b))
-        super().__init__(MappingProxyType({b: factors[b] for b in order}), detB_exponent, unreduced)
+        super().__init__(MappingProxyType({b: factors[b] for b in order}), detB_exponent)
 
     def __reduce__(self):
-        return SquareClassFormula, (dict(self.factors), self.detB_exponent, self.unreduced)
+        return SquareClassFormula, (dict(self.factors), self.detB_exponent)
 
     # -- construction -------------------------------------------------------
 
@@ -593,27 +581,23 @@ class SquareClassFormula(Value):
         return SquareClassFormula(
             _add_exponents(self.factors, ((b, e * power) for b, e in other.factors.items())),
             self.detB_exponent + other.detB_exponent * power,
-            self.unreduced or other.unreduced,
         )
 
     def with_poly_value(self, value: Poly, exponent: Binomials) -> "SquareClassFormula":
         """Product with value(N)^exponent, splitting value into factors.
 
         The content goes in as primes; linear factors become polynomial
-        bases.  A nonsplitting residual sets the ``unreduced`` flag and
-        is carried as an opaque polynomial base.
+        bases.  A value that does not split into rational linear factors
+        raises ArithmeticError: its class would need a square-free
+        decomposition this engine does not make.
         """
         content, linear, residual = poly_factor_rational(value)
+        if residual.degree > 0:
+            raise ArithmeticError(f"{value} does not split into rational linear factors")
         if content < 0:
             raise ValueError("negative content in a Gram determinant")
         bases = [*_rational_primes(content, exponent), *((f, exponent * m) for f, m in linear)]
-        if residual.degree > 0:
-            bases.append((residual, exponent))
-        return SquareClassFormula(
-            _add_exponents(self.factors, bases),
-            self.detB_exponent,
-            self.unreduced or residual.degree > 0,
-        )
+        return SquareClassFormula(_add_exponents(self.factors, bases), self.detB_exponent)
 
     # -- reduction -----------------------------------------------------------
 
@@ -627,7 +611,6 @@ class SquareClassFormula(Value):
         return SquareClassFormula(
             {b: r for b, e in self.factors.items() if (r := e.mod2())},
             self.detB_exponent,
-            self.unreduced,
         )
 
     def value(self) -> Poly:
@@ -658,11 +641,11 @@ class SquareClassFormula(Value):
 
     # -- display ------------------------------------------------------------
 
-    def render_text(self, detb_name: str = "det(B)") -> str:
+    def render_text(self) -> str:
         parts = [_render_power(_base_str(b), e) for b, e in self.factors.items()]
-        if not self.detB_exponent.is_zero():
+        if self.detB_exponent:
             es = str(self.detB_exponent)
-            parts.append(detb_name if es == "1" else f"{detb_name}^({es})")
+            parts.append("det(B)" if es == "1" else f"det(B)^({es})")
         return " * ".join(parts) if parts else "1"
 
     def render_latex(self) -> str:
@@ -670,7 +653,7 @@ class SquareClassFormula(Value):
             f"{_base_str(b)}^{{{_exponent_str(e, _LATEX_BINOM, '')}}}"
             for b, e in self.factors.items()
         ]
-        if not self.detB_exponent.is_zero():
+        if self.detB_exponent:
             parts.append(f"\\det(B)^{{{self.detB_exponent}}}")
         return " ".join(parts) if parts else "1"
 
@@ -682,7 +665,7 @@ class SquareClassFormula(Value):
             ],
             "detB_exponent": str(self.detB_exponent),
             "display": self.render_text(),
-            "unreduced": self.unreduced,
+            "unreduced": False,  # fixed schema field: every factor is a prime or linear
         }
 
 

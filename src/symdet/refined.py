@@ -326,8 +326,10 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
     determinant over the rational function field, so a chain whose
     image vanishes is never kept and the kept Gram stays nonsingular.
     It stops at m chains, which span the multiplicity space as m is its
-    dimension, and the last accepted determinant is the coupling's;
-    running out of chains first raises ArithmeticError.
+    dimension, and the last accepted determinant is the coupling's.
+    Running out of chains first, or a coupling determinant that does not
+    split into rational linear factors, raises ArithmeticError naming
+    the shape and gamma.
     """
     n, m = shape.n, gamma.n
     if (n - m) % 2 or n == m:
@@ -366,15 +368,12 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
             f"refined {shape}/{gamma}: {len(chosen)} independent chains, "
             f"Littlewood multiplicity {target}"
         )
+    try:
+        c_reduced = SquareClassFormula.one().with_poly_value(det, Binomials.unit(0)).reduced()
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"refined {shape}/{gamma}: coupling determinant {exc}") from exc
     c_matrix = tuple(tuple(entry(a, b) for b in chosen) for a in chosen)
-    return RefinedConstituent(
-        gamma=gamma,
-        multiplicity=target,
-        chains=tuple(chosen),
-        c_matrix=c_matrix,
-        c_det=det,
-        c_reduced=SquareClassFormula.one().with_poly_value(det, Binomials.unit(0)).reduced(),
-    )
+    return RefinedConstituent(gamma, target, tuple(chosen), c_matrix, det, c_reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +420,11 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
     # -d = d mod 2
     sym = determinant_classes([shape])[0]
     dim = sym.dimension
-    det = SquareClassFormula(sym.c_reduced.factors, detb_exponent(shape), sym.c_reduced.unreduced)
+    det = SquareClassFormula(sym.c_reduced.factors, detb_exponent(shape))
     for c in constituents:
         sub = refined_decomposition(c.gamma)
         dim = dim - sub.refined_dimension * c.multiplicity
         d = Binomials.of(sub.refined_dimension)
-        c_power = SquareClassFormula(dict.fromkeys(c.c_reduced.factors, d), unreduced=c.c_reduced.unreduced)
-        det = det.times(c_power)
+        det = det.times(SquareClassFormula(dict.fromkeys(c.c_reduced.factors, d)))
         det = det.times(sub.refined_det, power=-c.multiplicity)
     return RefinedResult(shape, constituents, dim, det.reduced())

@@ -129,6 +129,16 @@ class TestTableCommand:
         assert code == 0
         assert len(json.loads(out)) == 43
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    def test_searches_no_polynomial_root(self, capsys, monkeypatch, fmt):
+        def forbidden(p):
+            raise AssertionError("table factored a polynomial")
+
+        # every dimension display is read off the hook contents
+        monkeypatch.setattr("symdet.exact.poly_factor_rational", forbidden)
+        code, _ = run(capsys, "--jobs", "1", "--format", fmt, "table", "--n", "9")
+        assert code == 0
+
 
 class TestRefinedCommand:
     def test_text_two_one(self, capsys):
@@ -391,6 +401,22 @@ class TestPinnedOutput:
             assert code == 0
             digest.update(out.encode())
         assert digest.hexdigest() == "d67de71c2c0bfcd086f043c0a5aff3541b5c4aec78b1c851eb10c499110a40de"
+
+    def test_text_and_latex_of_refined_through_weight_seven_and_sym_through_six(self, capsys):
+        digest = hashlib.sha256()
+        runs = [
+            ("--format", fmt, "refined", ",".join(map(str, shape.parts)))
+            for n in range(2, 8) for shape in partitions_of(n) for fmt in ("text", "latex")
+        ] + [
+            ("--format", "text", "sym", ",".join(map(str, shape.parts)))
+            for n in range(2, 7) for shape in partitions_of(n)
+        ]
+        assert len(runs) == 2 * 43 + 28
+        for argv in runs:
+            code, out = run(capsys, "--jobs", "1", *argv)
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == "57df93c165b68607dbc1d4604804e04adf7899a93eb213fa88bf1218e4326f49"
 
 
 class TestDeterminism:

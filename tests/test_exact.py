@@ -10,6 +10,7 @@ from symdet.exact import (
     Poly,
     SquareClassFormula,
     bareiss_det,
+    factored_display,
     factorint,
     interpolate,
     poly_factor_rational,
@@ -92,6 +93,23 @@ class TestPoly:
         third = Fraction(1, 3)
         assert Poly((0, -third, 0, third)).factored_str() == "N*(N-1)*(N+1)/3"
 
+    def test_factored_str_orders_factors_by_root(self):
+        # roots 0, then 1/2 and 2 ascending, then -1/2 and -3 by size
+        p = Poly((0, 1)) * Poly((-2, 1)) * Poly((-1, 2)) * Poly((3, 1)) * Poly((1, 2))
+        assert p.factored_str() == "N*(2*N - 1)*(N-2)*(2*N + 1)*(N+3)"
+        assert (Poly((1, 3, 2)) * Poly((1, 0, 1)) * 3).factored_str() == "3*(2*N + 1)*(N+1)*(N^2 + 1)"
+
+    def test_factored_str_signs_and_constants(self):
+        assert Poly().factored_str() == "0"
+        assert Poly.const(Fraction(-1, 2)).factored_str() == "-1/2"
+        assert Poly((0, -1)).factored_str() == "-N"
+        # the sign is written once, ahead of the content's numerator
+        assert Poly((0, -2)).factored_str() == "-2*N"
+        p = Poly((-1, 1)) ** 2 * Poly((5, 1)) * Fraction(-3, 7)
+        assert p.factored_str() == "-3*(N-1)^2*(N+5)/7"
+        linear = [(Poly((5, 1)), 1), (Poly((-1, 1)), 2)]
+        assert factored_display(Fraction(-3, 7), linear, Poly.const(1)) == "-3*(N-1)^2*(N+5)/7"
+
 
 def _binomial_combo_poly(combo):
     """sum a_k * C(N,k) in the power basis, built without Binomials."""
@@ -166,7 +184,7 @@ class TestPolyFactorRational:
     )
     def test_reassembly(self, coeffs, extra_root):
         p = Poly(coeffs)
-        if p.is_zero():
+        if not p:
             return
         p = p * Poly((-extra_root, 1))
         content, linear, residual = poly_factor_rational(p)
@@ -249,7 +267,7 @@ def _formula(factors) -> SquareClassFormula:
 
 
 def _snapshot(f: SquareClassFormula) -> tuple:
-    return dict(f.factors), f.detB_exponent, f.unreduced
+    return dict(f.factors), f.detB_exponent
 
 
 class TestSquareClassFormula:
@@ -274,7 +292,6 @@ class TestSquareClassFormula:
         )  # 8(N-1)
         red = f.reduced()
         assert red.render_text() == "2 * (N - 1)"
-        assert not f.unreduced
 
     def test_value_of_a_reduced_poly_class(self):
         # 72 N^3 (N - 1)^2 (2N + 3) / 5 ~ 2 * 5 * N * (2N + 3)
@@ -297,9 +314,14 @@ class TestSquareClassFormula:
         with pytest.raises(ValueError, match="det"):
             SquareClassFormula(detB_exponent=Poly.const(1)).value()
 
-    def test_unreduced_flag(self):
-        f = SquareClassFormula.one().with_poly_value(Poly((1, 0, 1)), Binomials.unit(0))
-        assert f.unreduced
+    def test_a_value_without_linear_split_raises(self):
+        square = Poly((1, 0, 1)) ** 2  # (N^2 + 1)^2 is a square, yet has no linear split
+        for value in (Poly((1, 0, 1)), square, square * Poly((-1, 1))):
+            with pytest.raises(ArithmeticError, match="does not split into rational linear factors"):
+                SquareClassFormula.one().with_poly_value(value, Binomials.unit(0))
+
+    def test_holds_only_factors_and_det_b(self):
+        assert SquareClassFormula.__slots__ == ("factors", "detB_exponent")
 
     def test_tables_are_read_only_copies(self):
         factors = {2: Binomials.unit(2), Poly((-1, 1)): Binomials.unit(1)}
@@ -331,7 +353,7 @@ class TestSquareClassFormula:
         f = SquareClassFormula.from_integer(18, Binomials.unit(2))
         f = f.with_poly_value(Poly((2, 1)), Binomials.unit(3) * 3)
         f = f.with_poly_value(Poly((-1, 1)), Binomials((1, 1)))
-        f = SquareClassFormula(f.factors, Poly((-2, 0, 1)), f.unreduced)
+        f = SquareClassFormula(f.factors, Poly((-2, 0, 1)))
         text = "2^C(N,2) * 3^(2*C(N,2)) * (N - 1)^(1+N) * (N + 2)^(3*C(N,3)) * det(B)^(N^2 - 2)"
         assert f.render_text() == text
         assert f.render_latex() == (

@@ -297,7 +297,7 @@ class TestRefinedDecomposition:
         from symdet.gram import symmetrization_determinant
 
         sym = symmetrization_determinant(P((1, 1, 1)))
-        full = SquareClassFormula(sym.c_formula.factors, sym.detB_exponent, sym.c_formula.unreduced)
+        full = SquareClassFormula(sym.c_formula.factors, sym.detB_exponent)
         assert sym_det.reduced().render_text() == full.reduced().render_text()
 
     def test_cached_results_cannot_be_mutated(self):
@@ -337,7 +337,6 @@ class TestRefinedDecomposition:
         for c in result.constituents:
             exact = SquareClassFormula.one().with_poly_value(c.c_det, Binomials.unit(0))
             assert c.c_reduced == exact.reduced()
-            assert not c.c_reduced.unreduced
 
     def test_degree_limit(self):
         with pytest.raises(ValueError):
@@ -389,6 +388,20 @@ class TestRefinedDecomposition:
         couplings = [c.c_det for r in results.values() for c in r.constituents]
         assert len(couplings) > 1
         assert Counter(factored) == Counter(couplings)
+
+    def test_an_unsplit_coupling_determinant_names_shape_and_gamma(self, monkeypatch):
+        # N^2 + 1 has no rational linear factor, so it has no square class here
+        monkeypatch.setattr(symdet.refined, "poly_matrix_det", lambda matrix: Poly((1, 0, 1)))
+        refined_decomposition.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError) as exc:
+                refined_decomposition(P((2, 2)))
+        finally:
+            refined_decomposition.cache_clear()
+        assert str(exc.value) == (
+            "refined (2,2)/(2): coupling determinant N^2 + 1 "
+            "does not split into rational linear factors"
+        )
 
 
 def _interpolated_coupling(shape, c):
