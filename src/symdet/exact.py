@@ -13,7 +13,9 @@ Polynomials, exponent combinations and formulas are immutable values
 (:class:`Value`, the slotted base of every value class in the package).
 A square class has one form, the reduced :class:`SquareClassFormula`
 with one factor table of primes and rational linear factors, and two
-classes are compared with ``==``; a polynomial value that does not split
+classes are compared with ``==``.  :meth:`SquareClassFormula.product` is
+the one way a class is built, from rational, polynomial and formula
+values raised to their exponents; a polynomial value that does not split
 into rational linear factors has no such class and raises.  The class of
 one polynomial value reads back as one through
 :meth:`SquareClassFormula.value`, and every factored polynomial is
@@ -26,7 +28,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -250,8 +252,9 @@ class Poly(Value):
             else:
                 mono = "N" if i == 1 else f"N^{i}"
                 term = mono if abs(c) == 1 else f"{_frac_str(abs(c))}*{mono}"
-            parts.append(("- " if c < 0 else "+ " if parts else "") + term)
-        return " ".join(parts).lstrip("+ ")
+            sign = ("- " if c < 0 else "+ ") if parts else "-" if c < 0 else ""
+            parts.append(sign + term)
+        return " ".join(parts)
 
     def factored_str(self) -> str:
         """Product-of-linear-factors display, e.g. ``N*(N-1)/2``."""
@@ -515,24 +518,6 @@ class Binomials(Value):
         return Binomials(a % 2 for a in self.coeffs)
 
 
-def _add_exponents(table: Mapping, terms: Iterable[tuple]) -> dict:
-    """A copy of ``table`` with each (base, exponent) of ``terms`` added; zero exponents drop out."""
-    out = dict(table)
-    for key, e in terms:
-        out[key] = out.get(key, Binomials()) + e
-        if not out[key]:
-            del out[key]
-    return out
-
-
-def _rational_primes(value: Fraction, exponent: Binomials) -> Iterator[tuple[int, Binomials]]:
-    """(p, exponent * v_p(value)) for each prime p of a positive rational."""
-    for p, e in factorint(value.numerator).items():
-        yield p, exponent * e
-    for p, e in factorint(value.denominator).items():
-        yield p, exponent * (-e)
-
-
 def _base_str(base: "int | Poly") -> str:
     return f"({base})" if isinstance(base, Poly) else str(base)
 
@@ -565,39 +550,50 @@ class SquareClassFormula(Value):
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def one() -> "SquareClassFormula":
-        return SquareClassFormula()
+    def product(
+        terms: Iterable[tuple["Rat | Poly | SquareClassFormula", "Binomials | int"]],
+        detB_exponent: Poly = Poly(),
+    ) -> "SquareClassFormula":
+        """prod value^exponent over ``terms``, times det(B)^detB_exponent.
 
-    @staticmethod
-    def from_integer(value: Rat, exponent: Binomials) -> "SquareClassFormula":
-        """value^exponent as a formula (value factored into primes)."""
-        value = Fraction(value)
-        if value <= 0:
-            raise ValueError("only positive bases occur in these formulas")
-        return SquareClassFormula(_add_exponents({}, _rational_primes(value, exponent)))
-
-    def times(self, other: "SquareClassFormula", power: int = 1) -> "SquareClassFormula":
-        """Product with other^power (power may be negative)."""
-        return SquareClassFormula(
-            _add_exponents(self.factors, ((b, e * power) for b, e in other.factors.items())),
-            self.detB_exponent + other.detB_exponent * power,
-        )
-
-    def with_poly_value(self, value: Poly, exponent: Binomials) -> "SquareClassFormula":
-        """Product with value(N)^exponent, splitting value into factors.
-
-        The content goes in as primes; linear factors become polynomial
-        bases.  A value that does not split into rational linear factors
-        raises ArithmeticError: its class would need a square-free
-        decomposition this engine does not make.
+        A value is a positive rational, whose primes go in; a :class:`Poly`,
+        whose content goes in as primes and whose rational linear factors
+        become polynomial bases; or a formula, whose factors and det(B)
+        exponent go in times an integer power.  A rational or polynomial
+        value takes a :class:`Binomials` exponent.  Every exponent is added
+        into one table, and zero exponents drop out at the end.  A
+        polynomial that does not split into rational linear factors raises
+        ArithmeticError: its class would need a square-free decomposition
+        this engine does not make.
         """
-        content, linear, residual = poly_factor_rational(value)
-        if residual.degree > 0:
-            raise ArithmeticError(f"{value} does not split into rational linear factors")
-        if content < 0:
-            raise ValueError("negative content in a Gram determinant")
-        bases = [*_rational_primes(content, exponent), *((f, exponent * m) for f, m in linear)]
-        return SquareClassFormula(_add_exponents(self.factors, bases), self.detB_exponent)
+        table: dict[int | Poly, Binomials] = {}
+
+        def add(base: "int | Poly", e: Binomials) -> None:
+            table[base] = table.get(base, Binomials()) + e
+
+        for value, exponent in terms:
+            if isinstance(value, SquareClassFormula):
+                for base, e in value.factors.items():
+                    add(base, e * exponent)
+                detB_exponent = detB_exponent + value.detB_exponent * exponent
+                continue
+            if isinstance(value, Poly):
+                content, linear, residual = poly_factor_rational(value)
+                if residual.degree > 0:
+                    raise ArithmeticError(f"{value} does not split into rational linear factors")
+                if content < 0:
+                    raise ValueError("negative content in a Gram determinant")
+                for base, m in linear:
+                    add(base, exponent * m)
+            else:
+                content = Fraction(value)
+                if content <= 0:
+                    raise ValueError("only positive bases occur in these formulas")
+            for p, e in factorint(content.numerator).items():
+                add(p, exponent * e)
+            for p, e in factorint(content.denominator).items():
+                add(p, exponent * -e)
+        return SquareClassFormula({b: e for b, e in table.items() if e}, detB_exponent)
 
     # -- reduction -----------------------------------------------------------
 

@@ -21,24 +21,12 @@ from pathlib import Path
 from .cli import MAX_TABLE_N
 from .combinat import Partition, dominates, partitions_of
 from .exact import Binomials, Poly, SquareClassFormula, Value
-from .gram import determinant_classes, gram_block
+from .gram import DetClass, determinant_classes, gram_block
 from .refined import MAX_REFINED_N, refined_decomposition
 
 # A golden matrix of at most this many tableaux may list them in any
 # order; a larger one must use the lexicographic row-major order.
 MAX_REORDER_SIZE = 4
-
-
-class SymRow(Value):
-    __slots__ = ("partition", "dimension", "c_reduced")
-
-    def __init__(
-        self,
-        partition: Partition,
-        dimension: Poly,
-        c_reduced: SquareClassFormula,  # the det_class column, reduced modulo squares
-    ):
-        super().__init__(partition, dimension, c_reduced)
 
 
 class RefinedRow(Value):
@@ -59,8 +47,8 @@ class GoldenTables(Value):
 
     def __init__(
         self,
-        sym_rows: list[SymRow],
-        stretch_rows: list[SymRow],
+        sym_rows: list[DetClass],
+        stretch_rows: list[DetClass],
         refined_rows: list[RefinedRow],
         matrices: dict[tuple[Partition, tuple[int, ...]], tuple[tuple[int, ...], ...]],
         coupling_42_2: tuple[tuple[Poly, ...], ...],
@@ -90,11 +78,10 @@ def _poly_from_roots(scale: Fraction | int, roots: list[int]) -> Poly:
 
 def _class_formula(det_class: list) -> SquareClassFormula:
     """prod base^(sum of its C(N,k)) over the [base, [k, ...]] factors, reduced modulo squares."""
-    formula = SquareClassFormula.one()
-    for base, ks in det_class:
-        exponent = sum((Binomials.unit(_integer(k, 0)) for k in ks), Binomials())
-        formula = formula.times(SquareClassFormula.from_integer(_integer(base, 1), exponent))
-    return formula.reduced()
+    return SquareClassFormula.product(
+        (_integer(base, 1), sum((Binomials.unit(_integer(k, 0)) for k in ks), Binomials()))
+        for base, ks in det_class
+    ).reduced()
 
 
 def load_golden(path: str | Path | None = None) -> GoldenTables:
@@ -113,7 +100,7 @@ def _parse_golden(doc: dict) -> GoldenTables:
     if doc.get("version") != 1:
         raise ValueError("unsupported golden table version")
 
-    def sym_rows(key: str) -> list[SymRow]:
+    def sym_rows(key: str) -> list[DetClass]:
         rows = []
         for row in doc[key]:
             shape = _partition(row["partition"])
@@ -121,7 +108,7 @@ def _parse_golden(doc: dict) -> GoldenTables:
                 raise ValueError(f"{key} row {shape} is beyond the limit n <= {MAX_TABLE_N}")
             spec = row["dimension"]
             dim = _poly_from_roots(Fraction(1, _integer(spec["den"], 1)), spec["roots"])
-            rows.append(SymRow(shape, dim, _class_formula(row["det_class"])))
+            rows.append(DetClass(shape, _class_formula(row["det_class"]), dim))
         return rows
 
     refined_rows = []
@@ -130,7 +117,7 @@ def _parse_golden(doc: dict) -> GoldenTables:
         if shape.n > MAX_REFINED_N:
             raise ValueError(f"refined row {shape} is beyond the limit n <= {MAX_REFINED_N}")
         c_det = _poly_from_roots(_integer(r["class_constant"], 1), r["class_roots"])
-        c_reduced = SquareClassFormula.one().with_poly_value(c_det, Binomials.unit(0)).reduced()
+        c_reduced = SquareClassFormula.product([(c_det, Binomials.unit(0))]).reduced()
         refined_rows.append(
             RefinedRow(shape, _partition(r["gamma"]), _integer(r["multiplicity"]), c_reduced)
         )
@@ -181,16 +168,16 @@ def verify_sym(golden: GoldenTables) -> VerifyReport:
     mismatches = []
     checked = 0
     rows = golden.sym_rows + golden.stretch_rows
-    for row, result in zip(rows, determinant_classes([row.partition for row in rows])):
+    for row, result in zip(rows, determinant_classes([row.shape for row in rows])):
         checked += 1
         if result.dimension != row.dimension:
             mismatches.append(
-                f"sym {row.partition}: dimension expected {row.dimension.factored_str()}, "
+                f"sym {row.shape}: dimension expected {row.dimension.factored_str()}, "
                 f"got {result.dimension.factored_str()}"
             )
         if result.c_reduced != row.c_reduced:
             mismatches.append(
-                f"sym {row.partition}: class expected {row.c_reduced.render_text()}, "
+                f"sym {row.shape}: class expected {row.c_reduced.render_text()}, "
                 f"got {result.c_reduced.render_text()}"
             )
     for (shape, pattern), mat in sorted(golden.matrices.items()):

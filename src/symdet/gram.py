@@ -175,9 +175,7 @@ def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
             blocks = list(pool.map(gram_block, [shape] * len(patterns), patterns, chunksize=chunksize))
     else:
         blocks = [gram_block(shape, p) for p in patterns]
-    c_formula = SquareClassFormula.one()
-    for b in blocks:
-        c_formula = c_formula.times(SquareClassFormula.from_integer(b.det, Binomials.unit(b.k)))
+    c_formula = SquareClassFormula.product((b.det, Binomials.unit(b.k)) for b in blocks)
     dim = dimension_poly(shape)
     return SymDetResult(shape, {b.pattern: b for b in blocks}, c_formula, dim, detb_exponent(shape))
 
@@ -290,7 +288,7 @@ def closed_form_c(shape: Partition) -> SquareClassFormula | None:
     if len(parts) == 1:
         return _closed_row(n)
     if all(p == 1 for p in parts):
-        return SquareClassFormula.from_integer(math.factorial(n), Binomials.unit(n))
+        return SquareClassFormula.product([(math.factorial(n), Binomials.unit(n))])
     if parts[0] == 2 and all(p == 1 for p in parts[1:]):
         return _closed_two_hook(n)
     if parts[0] == 3 and all(p == 1 for p in parts[1:]):
@@ -300,25 +298,17 @@ def closed_form_c(shape: Partition) -> SquareClassFormula | None:
 
 def _closed_row(n: int) -> SquareClassFormula:
     # product over compositions of the multinomial, per k-block
-    out = SquareClassFormula.one()
-    for comp in compositions_of(n):
-        coeff = math.factorial(n)
-        for x in comp:
-            coeff //= math.factorial(x)
-        out = out.times(
-            SquareClassFormula.from_integer(coeff, Binomials.unit(len(comp)))
-        )
-    return out
+    return SquareClassFormula.product(
+        (math.factorial(n) // math.prod(map(math.factorial, comp)), Binomials.unit(len(comp)))
+        for comp in compositions_of(n)
+    )
 
 
 def _closed_two_hook(n: int) -> SquareClassFormula:
     # n^C(N,n) * ((n-1)!)^((n-1) * C(N+1,n))
     cn = Binomials.unit(n)
     cn1 = Binomials.unit(n - 1)
-    out = SquareClassFormula.from_integer(n, cn)
-    return out.times(
-        SquareClassFormula.from_integer(math.factorial(n - 1), (cn + cn1) * (n - 1))
-    )
+    return SquareClassFormula.product([(n, cn), (math.factorial(n - 1), (cn + cn1) * (n - 1))])
 
 
 def _closed_three_hook(n: int) -> SquareClassFormula:
@@ -334,9 +324,7 @@ def _closed_three_hook(n: int) -> SquareClassFormula:
     x = (cn2 + cn) * half + cn1 * ((n - 1) * (n - 2))
     y = cn2 * math.comb(n - 2, 2) + cn1 * ((n - 1) * (n - 3)) + cn * half
     z = cn1 * (n - 1) + cn * (n - 2)
-    out = SquareClassFormula.from_integer(math.factorial(n - 2), x)
-    out = out.times(SquareClassFormula.from_integer(2, y))
-    return out.times(SquareClassFormula.from_integer(n, z))
+    return SquareClassFormula.product([(math.factorial(n - 2), x), (2, y), (n, z)])
 
 
 def hook_block_det(n: int, ell: int) -> int:

@@ -369,7 +369,7 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
             f"Littlewood multiplicity {target}"
         )
     try:
-        c_reduced = SquareClassFormula.one().with_poly_value(det, Binomials.unit(0)).reduced()
+        c_reduced = SquareClassFormula.product([(det, Binomials.unit(0))]).reduced()
     except ArithmeticError as exc:
         raise ArithmeticError(f"refined {shape}/{gamma}: coupling determinant {exc}") from exc
     c_matrix = tuple(tuple(entry(a, b) for b in chosen) for a in chosen)
@@ -407,7 +407,7 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
     if n > MAX_REFINED_N:
         raise ValueError(f"refined decomposition supported for n <= {MAX_REFINED_N}")
     if n == 0:
-        return RefinedResult(shape, (), Poly.const(1), SquareClassFormula.one())
+        return RefinedResult(shape, (), Poly.const(1), SquareClassFormula())
 
     constituents = tuple(
         c for j in range(1, n // 2 + 1) for gamma in partitions_of(n - 2 * j)
@@ -420,11 +420,12 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
     # -d = d mod 2
     sym = determinant_classes([shape])[0]
     dim = sym.dimension
-    det = SquareClassFormula(sym.c_reduced.factors, detb_exponent(shape))
+    terms = [(sym.c_reduced, 1)]
     for c in constituents:
         sub = refined_decomposition(c.gamma)
         dim = dim - sub.refined_dimension * c.multiplicity
         d = Binomials.of(sub.refined_dimension)
-        det = det.times(SquareClassFormula(dict.fromkeys(c.c_reduced.factors, d)))
-        det = det.times(sub.refined_det, power=-c.multiplicity)
+        terms.append((SquareClassFormula(dict.fromkeys(c.c_reduced.factors, d)), 1))
+        terms.append((sub.refined_det, -c.multiplicity))
+    det = SquareClassFormula.product(terms, detb_exponent(shape))
     return RefinedResult(shape, constituents, dim, det.reduced())

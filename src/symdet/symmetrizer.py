@@ -91,30 +91,26 @@ def _column_group(shape: Partition):
     return tuple(group)
 
 
-def _orderings(row: Word, k: int, memo: dict[tuple[Word, int], list[Word]]) -> list[Word]:
+@lru_cache(maxsize=None)
+def _orderings(row: Word, k: int) -> tuple[Word, ...]:
     """Distinct orderings of the sorted letters ``row`` whose places past k stay sorted.
 
     Each word is an ordered choice of k of the letters followed by the
     rest in sorted order; k = len(row) gives every distinct ordering.
-    Memoized in ``memo``.
     """
-    out = memo.get((row, k))
-    if out is None:
-        if not k:
-            out = [row]
-        elif k >= len(row) - 1 and len(set(row)) == len(row):
-            out = list(itertools.permutations(row))
-        else:
-            out = [
-                (x,) + tail
-                for i, x in enumerate(row)
-                if not i or x != row[i - 1]
-                for tail in _orderings(row[:i] + row[i + 1:], k - 1, memo)
-            ]
-        memo[(row, k)] = out
-    return out
+    if not k:
+        return (row,)
+    if k >= len(row) - 1 and len(set(row)) == len(row):
+        return tuple(itertools.permutations(row))
+    return tuple(
+        (x,) + tail
+        for i, x in enumerate(row)
+        if not i or x != row[i - 1]
+        for tail in _orderings(row[:i] + row[i + 1:], k - 1)
+    )
 
 
+@lru_cache(maxsize=None)
 def stabilizer_order(row: Word) -> int:
     """Order of the stabilizer of the sorted letters ``row``: prod m! over their multiplicities m."""
     return math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(row))
@@ -135,7 +131,6 @@ def _row_sum(shape: Partition, terms: dict[Word, Coeff], free: int) -> dict[Word
     for word, coeff in terms.items():
         key = tuple(x for a, b in segs for x in sorted(word[a:b]))
         classes[key] = classes.get(key, 0) + coeff
-    memo: dict[tuple[Word, int], list[Word]] = {}
     out: dict[Word, Coeff] = {}
     for key, coeff in classes.items():
         if not coeff:
@@ -144,7 +139,7 @@ def _row_sum(shape: Partition, terms: dict[Word, Coeff], free: int) -> dict[Word
         for i, (a, b) in enumerate(segs):
             row = key[a:b]
             coeff *= stabilizer_order(row)
-            orders = _orderings(row, b - a - free if i == 0 else b - a, memo)
+            orders = _orderings(row, b - a - free if i == 0 else b - a)
             words = [w + o for w in words for o in orders]
         for w in words:
             out[w] = coeff

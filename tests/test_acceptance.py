@@ -44,15 +44,15 @@ def test_criterion_1_sym_tables():
     """Every shape of weight 2..7: dimension and reduced class, exactly."""
     t0 = time.time()
     assert len(GOLDEN.sym_rows) == 43
-    shapes = {row.partition for row in GOLDEN.sym_rows}
+    shapes = {row.shape for row in GOLDEN.sym_rows}
     assert shapes == {p for n in range(2, 8) for p in partitions_of(n)}
     failures = []
     for row in GOLDEN.sym_rows:
-        result = symmetrization_determinant(row.partition)
+        result = symmetrization_determinant(row.shape)
         if result.dimension != row.dimension:
-            failures.append(f"{row.partition}: dimension")
+            failures.append(f"{row.shape}: dimension")
         if result.c_formula.reduced() != row.c_reduced:
-            failures.append(f"{row.partition}: class")
+            failures.append(f"{row.shape}: class")
     assert not failures, failures
     print(f"\nACCEPTANCE 1: PASS - 43 table rows reproduced ({time.time()-t0:.0f}s)")
 
@@ -111,9 +111,9 @@ def test_criterion_3_stretch_weight_nine():
     """The two known weight-9 rows, within the long budget."""
     t0 = time.time()
     for row in GOLDEN.stretch_rows:
-        result = symmetrization_determinant(row.partition)
-        assert result.dimension == row.dimension, row.partition
-        assert result.c_formula.reduced() == row.c_reduced, row.partition
+        result = symmetrization_determinant(row.shape)
+        assert result.dimension == row.dimension, row.shape
+        assert result.c_formula.reduced() == row.c_reduced, row.shape
     print(f"\nACCEPTANCE 3 (stretch): PASS - weight-9 pair ({time.time()-t0:.0f}s)")
 
 

@@ -110,6 +110,15 @@ class TestPoly:
         linear = [(Poly((5, 1)), 1), (Poly((-1, 1)), 2)]
         assert factored_display(Fraction(-3, 7), linear, Poly.const(1)) == "-3*(N-1)^2*(N+5)/7"
 
+    def test_str_signs(self):
+        # a negative leading coefficient is written as one signed term
+        assert str(Poly((0, -2))) == "-2*N"
+        assert str(Poly((-1,))) == "-1"
+        assert str(Poly((1, 0, 0, 0, -1))) == "-N^4 + 1"
+        assert str(Poly((-2, 3))) == "3*N - 2"
+        assert str(Poly((Fraction(1, 2), -1, 1))) == "N^2 - N + 1/2"
+        assert str(Poly()) == "0"
+
 
 def _binomial_combo_poly(combo):
     """sum a_k * C(N,k) in the power basis, built without Binomials."""
@@ -257,13 +266,13 @@ _FACTORS = st.tuples(
 
 
 def _formula(factors) -> SquareClassFormula:
-    out = SquareClassFormula.one()
+    terms = []
     for base, k, mult, linear in factors:
         exponent = Binomials.unit(k) * mult
-        out = out.times(SquareClassFormula.from_integer(base, exponent))
+        terms.append((base, exponent))
         if linear:
-            out = out.with_poly_value(Poly((-base, 1)), exponent)
-    return out
+            terms.append((Poly((-base, 1)), exponent))
+    return SquareClassFormula.product(terms)
 
 
 def _snapshot(f: SquareClassFormula) -> tuple:
@@ -272,45 +281,42 @@ def _snapshot(f: SquareClassFormula) -> tuple:
 
 class TestSquareClassFormula:
     def test_reduction_drops_even_exponents(self):
-        f = SquareClassFormula.from_integer(16, Binomials.unit(2))
-        f = f.times(SquareClassFormula.from_integer(12, Binomials.unit(3)))
+        f = SquareClassFormula.product([(16, Binomials.unit(2)), (12, Binomials.unit(3))])
         red = f.reduced()
         assert red.render_text() == "3^C(N,3)"
 
     def test_negative_exponents_reduce(self):
-        f = SquareClassFormula.from_integer(8, Binomials.unit(1) * -3)  # 8^(-3N) ~ 2^N
+        f = SquareClassFormula.product([(8, Binomials.unit(1) * -3)])  # 8^(-3N) ~ 2^N
         assert f.reduced().render_text() == "2^N"
 
     def test_evaluate_class(self):
-        f = SquareClassFormula.from_integer(3, Binomials.unit(3))
+        f = SquareClassFormula.product([(3, Binomials.unit(3))])
         assert f.evaluate_class(3) == 3  # C(3,3) = 1
         assert f.evaluate_class(4) == 1  # C(4,3) = 4
 
     def test_poly_value_factors(self):
-        f = SquareClassFormula.one().with_poly_value(
-            Poly((-8, 8)), Binomials.unit(0)
-        )  # 8(N-1)
+        f = SquareClassFormula.product([(Poly((-8, 8)), Binomials.unit(0))])  # 8(N-1)
         red = f.reduced()
         assert red.render_text() == "2 * (N - 1)"
 
     def test_value_of_a_reduced_poly_class(self):
         # 72 N^3 (N - 1)^2 (2N + 3) / 5 ~ 2 * 5 * N * (2N + 3)
         value = Poly((0, 0, 0, 72)) * Poly((-1, 1)) ** 2 * Poly((3, 2)) * Fraction(1, 5)
-        f = SquareClassFormula.one().with_poly_value(value, Binomials.unit(0)).reduced()
+        f = SquareClassFormula.product([(value, Binomials.unit(0))]).reduced()
         assert f.value() == Poly((0, 1)) * Poly((3, 2)) * 10
-        assert SquareClassFormula.one().value() == Poly.const(1)
+        assert SquareClassFormula().value() == Poly.const(1)
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_value_needs_constant_exponents(self, k):
         with pytest.raises(ValueError, match="not a constant"):
-            SquareClassFormula.from_integer(3, Binomials.unit(k)).value()
-        poly = SquareClassFormula.one().with_poly_value(Poly((2, 1)), Binomials.unit(k))
+            SquareClassFormula.product([(3, Binomials.unit(k))]).value()
+        poly = SquareClassFormula.product([(Poly((2, 1)), Binomials.unit(k))])
         with pytest.raises(ValueError, match="not a constant"):
             poly.value()
 
     def test_value_rejects_a_negative_exponent_and_det_b(self):
         with pytest.raises(ValueError, match="not a constant"):
-            SquareClassFormula.from_integer(Fraction(1, 3), Binomials.unit(0)).value()
+            SquareClassFormula.product([(Fraction(1, 3), Binomials.unit(0))]).value()
         with pytest.raises(ValueError, match="det"):
             SquareClassFormula(detB_exponent=Poly.const(1)).value()
 
@@ -318,7 +324,43 @@ class TestSquareClassFormula:
         square = Poly((1, 0, 1)) ** 2  # (N^2 + 1)^2 is a square, yet has no linear split
         for value in (Poly((1, 0, 1)), square, square * Poly((-1, 1))):
             with pytest.raises(ArithmeticError, match="does not split into rational linear factors"):
-                SquareClassFormula.one().with_poly_value(value, Binomials.unit(0))
+                SquareClassFormula.product([(value, Binomials.unit(0))])
+
+    @given(st.lists(_FACTORS, max_size=5), st.randoms(use_true_random=False))
+    def test_product_ignores_the_order_of_its_terms(self, factors, rng):
+        terms = []
+        for base, k, mult, linear in factors:
+            exponent = Binomials.unit(k) * mult
+            terms.append((Fraction(base, k + 1), exponent))
+            if linear:
+                terms.append((Poly((-base, 1)) * 2, exponent))
+        terms.append((_formula(factors[:2]), -1))
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        assert SquareClassFormula.product(shuffled) == SquareClassFormula.product(terms)
+
+    @given(st.lists(_FACTORS, min_size=1, max_size=4), st.integers(min_value=1, max_value=3))
+    def test_a_value_times_its_inverse_is_one(self, factors, power):
+        formula = SquareClassFormula(_formula(factors).factors, Poly((-1, 1)))
+        e = Binomials((1, 2, 0, 1))
+        for value, exponent, inverse in (
+            (Fraction(12, 35), e, e * -1),
+            (Poly((-1, 2)) * Poly((0, 1)) * Fraction(9, 4), e, e * -1),
+            (formula, power, -power),
+        ):
+            one = SquareClassFormula.product([(value, exponent), (value, inverse)])
+            assert one == SquareClassFormula()
+        det_b = SquareClassFormula.product([(formula, -1)], Poly((-1, 1)))
+        assert det_b == SquareClassFormula({b: e * -1 for b, e in formula.factors.items()})
+
+    def test_product_rejects_non_splitting_and_non_positive_values(self):
+        with pytest.raises(ArithmeticError, match="-N\\^4 \\+ 1 does not split"):
+            SquareClassFormula.product([(Poly((1, 0, 0, 0, -1)), Binomials.unit(0))])
+        with pytest.raises(ValueError, match="negative content"):
+            SquareClassFormula.product([(Poly((1, -1)), Binomials.unit(0))])
+        for value in (0, -3, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="only positive bases"):
+                SquareClassFormula.product([(value, Binomials.unit(1))])
 
     def test_holds_only_factors_and_det_b(self):
         assert SquareClassFormula.__slots__ == ("factors", "detB_exponent")
@@ -343,17 +385,19 @@ class TestSquareClassFormula:
     def test_operations_leave_their_operands_unchanged(self, left, right, power):
         a, b = _formula(left), _formula(right)
         snapshots = [_snapshot(a), _snapshot(b)]
-        a.times(b, power)
-        a.with_poly_value(Poly((-3, 2)) * 6, Binomials.unit(2))
+        SquareClassFormula.product([(a, 1), (b, power)])
+        SquareClassFormula.product([(a, 1), (Poly((-3, 2)) * 6, Binomials.unit(2))])
         a.reduced()
         b.reduced()
         assert [_snapshot(a), _snapshot(b)] == snapshots
 
     def test_rendering_of_prime_and_polynomial_bases(self):
-        f = SquareClassFormula.from_integer(18, Binomials.unit(2))
-        f = f.with_poly_value(Poly((2, 1)), Binomials.unit(3) * 3)
-        f = f.with_poly_value(Poly((-1, 1)), Binomials((1, 1)))
-        f = SquareClassFormula(f.factors, Poly((-2, 0, 1)))
+        terms = [
+            (18, Binomials.unit(2)),
+            (Poly((2, 1)), Binomials.unit(3) * 3),
+            (Poly((-1, 1)), Binomials((1, 1))),
+        ]
+        f = SquareClassFormula.product(terms, Poly((-2, 0, 1)))
         text = "2^C(N,2) * 3^(2*C(N,2)) * (N - 1)^(1+N) * (N + 2)^(3*C(N,3)) * det(B)^(N^2 - 2)"
         assert f.render_text() == text
         assert f.render_latex() == (
@@ -375,7 +419,7 @@ class TestSquareClassFormula:
     def test_json_roundtrip_stable(self):
         import json
 
-        f = SquareClassFormula.from_integer(12, Binomials.unit(3)).reduced()
+        f = SquareClassFormula.product([(12, Binomials.unit(3))]).reduced()
         blob = json.dumps(f.to_json())
         assert json.loads(blob) == f.to_json()
 

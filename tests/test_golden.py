@@ -24,7 +24,7 @@ def test_sym_row_classes_match_engine_and_detect_a_dropped_k(tmp_path):
     dropped_rows = dropped.sym_rows + dropped.stretch_rows
     assert len(dropped_rows) == len(rows) == 45
     for row, dropped_row in zip(rows, dropped_rows):
-        engine = symmetrization_determinant(row.partition).c_formula.reduced()
-        assert row.c_reduced == engine, row.partition
-        assert dropped_row.partition == row.partition
-        assert dropped_row.c_reduced != engine, row.partition
+        engine = symmetrization_determinant(row.shape).c_formula.reduced()
+        assert row.c_reduced == engine, row.shape
+        assert dropped_row.shape == row.shape
+        assert dropped_row.c_reduced != engine, row.shape

@@ -11,7 +11,7 @@ from symdet.combinat import (
     partitions_of,
     ssyt_with_pattern,
 )
-from symdet.exact import POLY_N, Poly, bareiss_det, squarefree_part
+from symdet.exact import POLY_N, Poly, SquareClassFormula, bareiss_det, squarefree_part
 from symdet.gram import (
     NoTableauxError,
     closed_form_c,
@@ -199,6 +199,19 @@ class TestSymmetrizationDeterminant:
                 for N in range(n, n + 4):
                     total = sum(len(ssyt_with_pattern(shape, pat)) * math.comb(N, len(pat)) for pat in nonzero)
                     assert total == dim(N), (shape, N)
+
+    def test_multiplies_its_exact_class_once(self, monkeypatch):
+        built = []
+        init = SquareClassFormula.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SquareClassFormula, "__init__", counted)
+        result = symmetrization_determinant(P((8,)))
+        assert len(built) == 1
+        assert result.c_formula.reduced() == closed_form_c(P((8,))).reduced()
 
     def test_parallel_matches_serial(self):
         serial = symmetrization_determinant(P((3, 2)), jobs=1)

@@ -335,7 +335,7 @@ class TestRefinedDecomposition:
         result = refined_decomposition(shape)
         assert result.refined_det == result.refined_det.reduced()
         for c in result.constituents:
-            exact = SquareClassFormula.one().with_poly_value(c.c_det, Binomials.unit(0))
+            exact = SquareClassFormula.product([(c.c_det, Binomials.unit(0))])
             assert c.c_reduced == exact.reduced()
 
     def test_degree_limit(self):

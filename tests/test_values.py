@@ -16,8 +16,9 @@ P = Partition
 
 def _instances():
     golden = load_golden()
-    formula = SquareClassFormula.from_integer(12, Binomials.unit(2))
-    formula = formula.with_poly_value(Poly((-1, 1)), Binomials.unit(1))
+    formula = SquareClassFormula.product(
+        [(12, Binomials.unit(2)), (Poly((-1, 1)), Binomials.unit(1))]
+    )
     refined = refined_decomposition(P((3, 1)))
     return [
         P((2, 1)),
@@ -31,7 +32,6 @@ def _instances():
         ConcreteTensor(2, 3, {(1, 2): Fraction(1, 2)}),
         refined.constituents[0],
         refined,
-        golden.sym_rows[0],
         golden.refined_rows[0],
         golden,
         VerifyReport(3, ["a mismatch"]),
@@ -43,7 +43,7 @@ VALUES = _instances()
 
 def test_every_value_class_is_covered():
     classes = {type(x) for x in VALUES}
-    assert len(classes) == len(VALUES) == 15
+    assert len(classes) == len(VALUES) == 14
     assert all(isinstance(x, Value) and not hasattr(x, "__dict__") for x in VALUES)
 
 
