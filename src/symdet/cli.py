@@ -20,9 +20,7 @@ import sys
 
 from .combinat import Partition, dimension_str, partitions_of
 from .exact import Poly
-from .gram import determinant_classes, symmetrization_determinant
-
-MAX_TABLE_N = 9
+from .gram import MAX_TABLE_N, determinant_classes, symmetrization_determinant
 
 
 def parse_partition(text: str) -> Partition:

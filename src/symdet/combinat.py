@@ -125,14 +125,11 @@ class TableauFrame(Value):
 
     ``rows``/``cols`` are the label sets of the horizontal and vertical
     partitions of {0,..,n-1}; the symmetrizer is built from them.
+
+    Fields: shape: Partition, rows: tuple[tuple[int, ...], ...], cols: tuple[tuple[int, ...], ...].
     """
 
     __slots__ = ("shape", "rows", "cols")
-
-    def __init__(
-        self, shape: Partition, rows: tuple[tuple[int, ...], ...], cols: tuple[tuple[int, ...], ...]
-    ):
-        super().__init__(shape, rows, cols)
 
 
 @lru_cache(maxsize=None)

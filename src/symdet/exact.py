@@ -40,17 +40,26 @@ class DegreeBoundError(ValueError):
 class Value:
     """Immutable value whose fields are its ``__slots__``, set once by ``__init__``.
 
-    Two values are equal when they have the same class and equal field
-    tuples, and the hash is the hash of the field tuple.  The repr reads
+    ``__init__`` is the one constructor of every record class: it takes
+    the fields positionally in slot order, and a wrong count raises
+    TypeError naming the class and its fields.  Only a class that
+    normalizes its fields defines a constructor of its own.  Two values
+    are equal when they have the same class and equal field tuples, and
+    the hash is the hash of the field tuple.  The repr reads
     ``Name(field=value, ...)``, assigning or deleting a field raises
     AttributeError, and a pickle rebuilds the value through its
-    constructor, which takes the fields positionally in slot order.
+    constructor from the field tuple.
     """
 
     __slots__ = ()
 
     def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields ({', '.join(self.__slots__)}), "
+                f"got {len(fields)} values"
+            )
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:

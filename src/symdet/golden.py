@@ -18,10 +18,9 @@ import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
-from .cli import MAX_TABLE_N
 from .combinat import Partition, dominates, partitions_of
 from .exact import Binomials, Poly, SquareClassFormula, Value
-from .gram import DetClass, determinant_classes, gram_block
+from .gram import MAX_TABLE_N, DetClass, determinant_classes, gram_block
 from .refined import MAX_REFINED_N, refined_decomposition
 
 # A golden matrix of at most this many tableaux may list them in any
@@ -30,30 +29,24 @@ MAX_REORDER_SIZE = 4
 
 
 class RefinedRow(Value):
-    __slots__ = ("partition", "gamma", "multiplicity", "c_reduced")
+    """One golden constituent row.
 
-    def __init__(
-        self,
-        partition: Partition,
-        gamma: Partition,
-        multiplicity: int,
-        c_reduced: SquareClassFormula,  # the coupling determinant's class, reduced modulo squares
-    ):
-        super().__init__(partition, gamma, multiplicity, c_reduced)
+    Fields: partition: Partition, gamma: Partition, multiplicity: int, c_reduced:
+    SquareClassFormula (the coupling determinant's class, reduced modulo squares).
+    """
+
+    __slots__ = ("partition", "gamma", "multiplicity", "c_reduced")
 
 
 class GoldenTables(Value):
-    __slots__ = ("sym_rows", "stretch_rows", "refined_rows", "matrices", "coupling_42_2")
+    """The parsed reference tables.
 
-    def __init__(
-        self,
-        sym_rows: list[DetClass],
-        stretch_rows: list[DetClass],
-        refined_rows: list[RefinedRow],
-        matrices: dict[tuple[Partition, tuple[int, ...]], tuple[tuple[int, ...], ...]],
-        coupling_42_2: tuple[tuple[Poly, ...], ...],
-    ):
-        super().__init__(sym_rows, stretch_rows, refined_rows, matrices, coupling_42_2)
+    Fields: sym_rows: list[DetClass], stretch_rows: list[DetClass], refined_rows:
+    list[RefinedRow], matrices: dict[tuple[Partition, tuple[int, ...]], tuple[tuple[int, ...], ...]],
+    coupling_42_2: tuple[tuple[Poly, ...], ...].
+    """
+
+    __slots__ = ("sym_rows", "stretch_rows", "refined_rows", "matrices", "coupling_42_2")
 
 
 def _integer(x, least: float = -math.inf) -> int:
@@ -139,11 +132,7 @@ def _parse_golden(doc: dict) -> GoldenTables:
     if any(len(row) != len(coupling) for row in coupling):
         raise ValueError("coupling_42_2 is not a square matrix")
     return GoldenTables(
-        sym_rows=sym_rows("symmetrizations"),
-        stretch_rows=sym_rows("symmetrizations_stretch"),
-        refined_rows=refined_rows,
-        matrices=matrices,
-        coupling_42_2=coupling,
+        sym_rows("symmetrizations"), sym_rows("symmetrizations_stretch"), refined_rows, matrices, coupling
     )
 
 
@@ -153,10 +142,12 @@ def _parse_golden(doc: dict) -> GoldenTables:
 
 
 class VerifyReport(Value):
-    __slots__ = ("checked", "mismatches")
+    """Outcome of one verification pass.
 
-    def __init__(self, checked: int, mismatches: list[str]):
-        super().__init__(checked, mismatches)
+    Fields: checked: int, mismatches: list[str].
+    """
+
+    __slots__ = ("checked", "mismatches")
 
     @property
     def ok(self) -> bool:

@@ -45,16 +45,21 @@ from .combinat import (
 )
 from .exact import Binomials, Poly, SquareClassFormula, Value, bareiss_det
 
+# the largest weight of a ``table`` or ``sym`` shape and of a golden sym row or matrix
+MAX_TABLE_N = 9
+
 
 class NoTableauxError(ValueError):
     """Requested a Gram block for a pattern admitting no tableaux."""
 
 
 class GramBlock(Value):
-    __slots__ = ("shape", "pattern", "matrix", "det")
+    """Integer Gram block of one pattern and its exact determinant.
 
-    def __init__(self, shape: Partition, pattern: Pattern, matrix: tuple[tuple[int, ...], ...], det: int):
-        super().__init__(shape, pattern, matrix, det)
+    Fields: shape: Partition, pattern: Pattern, matrix: tuple[tuple[int, ...], ...], det: int.
+    """
+
+    __slots__ = ("shape", "pattern", "matrix", "det")
 
     @property
     def size(self) -> int:
@@ -128,26 +133,22 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
 
 
 class SymDetResult(Value):
-    __slots__ = ("shape", "blocks", "c_formula", "dimension", "detB_exponent")
+    """Every Gram block of one shape and the exact determinant formula.
 
-    def __init__(
-        self,
-        shape: Partition,
-        blocks: dict[Pattern, GramBlock],
-        c_formula: SquareClassFormula,  # exact exponents, before square reduction
-        dimension: Poly,
-        detB_exponent: Poly,
-    ):
-        super().__init__(shape, blocks, c_formula, dimension, detB_exponent)
+    Fields: shape: Partition, blocks: dict[Pattern, GramBlock], c_formula: SquareClassFormula
+    (exact exponents, before square reduction), dimension: Poly, detB_exponent: Poly.
+    """
+
+    __slots__ = ("shape", "blocks", "c_formula", "dimension", "detB_exponent")
 
 
 class DetClass(Value):
-    """Determinant class modulo squares and dimension of one shape."""
+    """Determinant class modulo squares and dimension of one shape.
+
+    Fields: shape: Partition, c_reduced: SquareClassFormula (reduced), dimension: Poly.
+    """
 
     __slots__ = ("shape", "c_reduced", "dimension")
-
-    def __init__(self, shape: Partition, c_reduced: SquareClassFormula, dimension: Poly):
-        super().__init__(shape, c_reduced, dimension)
 
 
 def patterns_of(shape: Partition) -> list[Pattern]:

@@ -43,12 +43,11 @@ class ConcreteTensor(Value):
     """Sparse element of the n-th tensor power at concrete dimension.
 
     The fields are fixed; ``add`` updates the ``terms`` table in place.
+
+    Fields: degree: int, dim: int, terms: dict[Word, Fraction].
     """
 
     __slots__ = ("degree", "dim", "terms")
-
-    def __init__(self, degree: int, dim: int, terms: dict[Word, Fraction]):
-        super().__init__(degree, dim, terms)
 
     def add(self, word: Word, coeff) -> None:
         c = self.terms.get(word, 0) + coeff
@@ -244,18 +243,14 @@ def all_disjoint_chains(n: int, j: int) -> list[Chain]:
 
 
 class RefinedConstituent(Value):
-    __slots__ = ("gamma", "multiplicity", "chains", "c_matrix", "c_det", "c_reduced")
+    """Coupling of one smaller shape gamma inside a symmetrization.
 
-    def __init__(
-        self,
-        gamma: Partition,
-        multiplicity: int,
-        chains: tuple[Chain, ...],
-        c_matrix: tuple[tuple[Poly, ...], ...],
-        c_det: Poly,
-        c_reduced: SquareClassFormula,  # class of c_det modulo squares, reduced
-    ):
-        super().__init__(gamma, multiplicity, chains, c_matrix, c_det, c_reduced)
+    Fields: gamma: Partition, multiplicity: int, chains: tuple[Chain, ...], c_matrix:
+    tuple[tuple[Poly, ...], ...], c_det: Poly, c_reduced: SquareClassFormula (class of c_det
+    modulo squares, reduced).
+    """
+
+    __slots__ = ("gamma", "multiplicity", "chains", "c_matrix", "c_det", "c_reduced")
 
 
 def _dummy_embed(chain: Chain, v: dict[Word, int], n: int, first: int) -> dict[Word, int]:
@@ -272,7 +267,7 @@ def _dummy_embed(chain: Chain, v: dict[Word, int], n: int, first: int) -> dict[W
     return out
 
 
-def _pairing(xs: dict[Word, int], ys: dict[Word, int], j: int) -> list[int]:
+def _pairing(x: Word, ys: dict[Word, int], j: int) -> list[int]:
     """<x, y> summed over every dummy value, as coefficients of N^0..N^j.
 
     The dummies of y must differ from those of x.  Position p ties x's
@@ -283,24 +278,23 @@ def _pairing(xs: dict[Word, int], ys: dict[Word, int], j: int) -> list[int]:
     the 2j dummies close 2j - len(root) strands.
     """
     counts = [0] * (j + 1)
-    for x, cx in xs.items():
-        for y, cy in ys.items():
-            root: dict[int, int] = {}
-            for a, b in zip(x, y):
-                while a in root:
-                    a = root[a]
-                while b in root:
-                    b = root[b]
-                if a == b:
-                    continue
-                if a > 0 and b > 0:
-                    break
-                if a < b:
-                    root[a] = b
-                else:
-                    root[b] = a
+    for y, cy in ys.items():
+        root: dict[int, int] = {}
+        for a, b in zip(x, y):
+            while a in root:
+                a = root[a]
+            while b in root:
+                b = root[b]
+            if a == b:
+                continue
+            if a > 0 and b > 0:
+                break
+            if a < b:
+                root[a] = b
             else:
-                counts[2 * j - len(root)] += cx * cy
+                root[b] = a
+        else:
+            counts[2 * j - len(root)] += cy
     return counts
 
 
@@ -325,6 +319,8 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
     a chain when the Gram of the kept chains with it has a nonzero
     determinant over the rational function field, so a chain whose
     image vanishes is never kept and the kept Gram stays nonsingular.
+    That Gram is the kept one bordered by the candidate's column: its
+    one RCR sum paired with the kept chains' words and its own.
     It stops at m chains, which span the multiplicity space as m is its
     dimension, and the last accepted determinant is the coupling's.
     Running out of chains first, or a coupling determinant that does not
@@ -342,24 +338,19 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
     v_adj = symmetrize(gamma, column_sum(gamma, w0))
     col_orders = (math.prod(map(math.factorial, p.conjugate().parts)) for p in (shape, gamma))
     scale = Fraction(*col_orders)
-    halves: dict[Chain, tuple[dict[Word, int], dict[Word, int]]] = {}
-    entries: dict[tuple[Chain, Chain], Poly] = {}
-
-    def entry(a: Chain, b: Chain) -> Poly:
-        if (a, b) not in entries:
-            counts = _pairing(halves[a][0], halves[b][1], j)
-            entries[a, b] = entries[b, a] = Poly([scale * c for c in counts])
-        return entries[a, b]
-
     chosen: list[Chain] = []
+    words: list[Word] = []  # X_a(w0) of each kept chain a
+    coupling: list[list[Poly]] = []  # the kept chains' coupling rows
     for ch in chain_pool(n, j):
-        x = _dummy_embed(ch, v_adj, n, j)
-        rcr = row_sum(shape, column_sum(shape, row_sum(shape, x)))
-        halves[ch] = _dummy_embed(ch, w0, n, 0), rcr
-        trial = chosen + [ch]
-        trial_det = poly_matrix_det([[entry(a, b) for b in trial] for a in trial])
+        rcr = row_sum(shape, column_sum(shape, row_sum(shape, _dummy_embed(ch, v_adj, n, j))))
+        [x] = _dummy_embed(ch, w0, n, 0)
+        col = [Poly([scale * c for c in _pairing(y, rcr, j)]) for y in words + [x]]
+        bordered = [row + [c] for row, c in zip(coupling, col)] + [col]
+        trial_det = poly_matrix_det(bordered)
         if trial_det:
             chosen.append(ch)
+            words.append(x)
+            coupling = bordered
             det = trial_det
             if len(chosen) == target:
                 break
@@ -372,8 +363,7 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
         c_reduced = SquareClassFormula.product([(det, Binomials.unit(0))]).reduced()
     except ArithmeticError as exc:
         raise ArithmeticError(f"refined {shape}/{gamma}: coupling determinant {exc}") from exc
-    c_matrix = tuple(tuple(entry(a, b) for b in chosen) for a in chosen)
-    return RefinedConstituent(gamma, target, tuple(chosen), c_matrix, det, c_reduced)
+    return RefinedConstituent(gamma, target, tuple(chosen), tuple(map(tuple, coupling)), det, c_reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +372,13 @@ def constituent_poly(shape: Partition, gamma: Partition) -> RefinedConstituent |
 
 
 class RefinedResult(Value):
-    __slots__ = ("shape", "constituents", "refined_dimension", "refined_det")
+    """Constituents, refined dimension and refined determinant of one shape.
 
-    def __init__(
-        self,
-        shape: Partition,
-        constituents: tuple[RefinedConstituent, ...],
-        refined_dimension: Poly,
-        refined_det: SquareClassFormula,  # class modulo squares, reduced
-    ):
-        super().__init__(shape, constituents, refined_dimension, refined_det)
+    Fields: shape: Partition, constituents: tuple[RefinedConstituent, ...], refined_dimension:
+    Poly, refined_det: SquareClassFormula (class modulo squares, reduced).
+    """
+
+    __slots__ = ("shape", "constituents", "refined_dimension", "refined_det")
 
 
 @lru_cache(maxsize=None)

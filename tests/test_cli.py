@@ -48,10 +48,9 @@ class TestPartitionParsing:
             parse_partition("1^10000000")
 
     def test_rejects_too_many_parts_before_expanding_them_all(self):
-        start = time.perf_counter()
+        # a parser that read on to the last chunk would fail there with another message
         with pytest.raises(ValueError, match="more than 9 parts"):
-            parse_partition(",".join(["1^9"] * 200_000))
-        assert time.perf_counter() - start < 0.5
+            parse_partition(",".join(["1^9"] * 200_000 + ["x"]))
 
 
 class TestSymCommand:

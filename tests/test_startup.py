@@ -54,6 +54,15 @@ class TestCommandImports:
         assert result["code"] == 0
         assert result["added"] == added
 
+    def test_golden_loads_no_cli(self):
+        # the reference tables take their weight limits from the engine modules
+        probe = "import sys, symdet.golden; print(sorted({'symdet.cli', 'argparse'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert proc.stdout == "[]\n"
+
     def test_refined_loads_no_golden(self):
         result = _probe("refined", "2,1")
         assert result["code"] == 0

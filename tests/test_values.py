@@ -8,7 +8,7 @@ import pytest
 from symdet.combinat import Partition, frame_of
 from symdet.exact import Binomials, Poly, SquareClassFormula, Value
 from symdet.golden import VerifyReport, load_golden
-from symdet.gram import determinant_classes, gram_block, symmetrization_determinant
+from symdet.gram import GramBlock, determinant_classes, gram_block, symmetrization_determinant
 from symdet.refined import ConcreteTensor, refined_decomposition
 
 P = Partition
@@ -45,6 +45,17 @@ def test_every_value_class_is_covered():
     classes = {type(x) for x in VALUES}
     assert len(classes) == len(VALUES) == 14
     assert all(isinstance(x, Value) and not hasattr(x, "__dict__") for x in VALUES)
+
+
+def test_only_normalizing_classes_define_a_constructor():
+    # every record is built by Value.__init__, from its fields in slot order
+    own = {cls for cls in map(type, VALUES) if "__init__" in vars(cls)}
+    assert own == {Partition, Poly, Binomials, SquareClassFormula}
+
+
+def test_wrong_field_count_names_the_class_and_its_fields():
+    with pytest.raises(TypeError, match=r"GramBlock .*\(shape, pattern, matrix, det\)"):
+        GramBlock(P((2, 1)), (1, 1, 1), ())
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
