@@ -424,28 +424,32 @@ def interpolate(points: list[tuple[int, Rat]], degree_bound: int) -> Poly:
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination.
+    """Determinant of a symmetric positive-definite integer matrix.
 
-    Each row's content (the gcd of its entries) is taken out first, which
-    keeps the intermediate entries small, and multiplied back at the end.
+    Fraction-free (Bareiss) elimination with no pivot search.  The
+    content of the whole matrix (the gcd of all its entries) is taken out
+    first, which keeps the intermediate entries small, and its size-th
+    power is multiplied back at the end; a row's own content would break
+    the symmetry.  Every intermediate matrix is symmetric, so only its
+    upper triangle is kept and eliminated.  The k-th pivot is the k-th
+    leading principal minor of the scaled matrix, and the last one is its
+    determinant, so by Sylvester's criterion the matrix is positive
+    definite exactly when every pivot is > 0.  The first pivot <= 0
+    raises ArithmeticError.
     """
-    contents = [math.gcd(*row) for row in matrix]
-    if not all(contents):
-        return 0
-    scale = math.prod(contents)
-    rows = [[x // g for x in row] for row, g in zip(matrix, contents)]
+    g = math.gcd(*(x for row in matrix for x in row)) or 1
+    rows = [[x // g for x in row[i:]] for i, row in enumerate(matrix)]  # rows[i][j] is entry (i, i + j)
     prev = 1
-    while len(rows) > 1:  # rows hold the columns not yet eliminated
-        if not rows[0][0]:
-            i = next((i for i, row in enumerate(rows) if row[0]), None)
-            if i is None:
-                return 0
-            rows[0], rows[i] = rows[i], rows[0]
-            scale = -scale
+    for k in range(1, len(rows) + 1):
         (p, *top), *rest = rows
-        rows = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
+        if p <= 0:
+            raise ArithmeticError(f"leading principal minor {k} is {p * g**k}: not positive definite")
+        rows = [
+            [(x * p - a * y) // prev for x, y in zip(row, top[i:])]  # a: row k + i's entry in the pivot column
+            for i, (row, a) in enumerate(zip(rest, top))
+        ]
         prev = p
-    return scale * rows[0][0] if rows else scale
+    return g ** len(matrix) * prev
 
 
 def poly_matrix_det(matrix: list[list[Poly]]) -> Poly:
@@ -569,11 +573,13 @@ class SquareClassFormula(Value):
         whose content goes in as primes and whose rational linear factors
         become polynomial bases; or a formula, whose factors and det(B)
         exponent go in times an integer power.  A rational or polynomial
-        value takes a :class:`Binomials` exponent.  Every exponent is added
-        into one table, and zero exponents drop out at the end.  A
-        polynomial that does not split into rational linear factors raises
-        ArithmeticError: its class would need a square-free decomposition
-        this engine does not make.
+        value takes a :class:`Binomials` exponent, and so does a formula
+        whose every exponent is a constant and which has no det(B) factor;
+        any other formula with a :class:`Binomials` exponent raises
+        ValueError.  Every exponent is added into one table, and zero
+        exponents drop out at the end.  A polynomial that does not split
+        into rational linear factors raises ArithmeticError: its class
+        would need a square-free decomposition this engine does not make.
         """
         table: dict[int | Poly, Binomials] = {}
 
@@ -582,9 +588,15 @@ class SquareClassFormula(Value):
 
         for value, exponent in terms:
             if isinstance(value, SquareClassFormula):
-                for base, e in value.factors.items():
-                    add(base, e * exponent)
-                detB_exponent = detB_exponent + value.detB_exponent * exponent
+                if not isinstance(exponent, Binomials):
+                    for base, e in value.factors.items():
+                        add(base, e * exponent)
+                    detB_exponent = detB_exponent + value.detB_exponent * exponent
+                elif value.detB_exponent or any(len(e.coeffs) > 1 for e in value.factors.values()):
+                    raise ValueError(f"{value.render_text()} has no power {_exponent_str(exponent)}")
+                else:
+                    for base, e in value.factors.items():
+                        add(base, exponent * e(0))
                 continue
             if isinstance(value, Poly):
                 content, linear, residual = poly_factor_rational(value)

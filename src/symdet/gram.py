@@ -94,8 +94,11 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     the upper triangle is summed.
 
     Every entry is a multiple of |C|, so the determinant is
-    |C|^size times the fraction-free (Bareiss) determinant of the
-    |C|-free matrix.
+    |C|^size times the determinant of the |C|-free matrix.  That matrix
+    is the Gram matrix of linearly independent vectors under a
+    positive-definite form, so ``bareiss_det`` eliminates it with no
+    pivot search; a pivot <= 0 raises ArithmeticError naming the shape
+    and the pattern.
     """
     # imported here, on the sym-only path: determinant_classes needs no symmetrizer
     from .symmetrizer import column_classes, free_tail, row_sum_sorted_tail, stabilizer_order, word_of_tableau
@@ -128,7 +131,10 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
             reduced[i][j] = reduced[j][i]
     col_order = math.prod(math.factorial(len(col)) for col in frame.cols)
     matrix = tuple(tuple(col_order * v for v in row) for row in reduced)
-    det = col_order**size * bareiss_det(reduced)
+    try:
+        det = col_order**size * bareiss_det(reduced)
+    except ArithmeticError as e:
+        raise ArithmeticError(f"Gram block of shape {shape} pattern {pattern}: {e}") from e
     return GramBlock(shape, pattern, matrix, det)
 
 

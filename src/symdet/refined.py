@@ -412,7 +412,7 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
         sub = refined_decomposition(c.gamma)
         dim = dim - sub.refined_dimension * c.multiplicity
         d = Binomials.of(sub.refined_dimension)
-        terms.append((SquareClassFormula(dict.fromkeys(c.c_reduced.factors, d)), 1))
+        terms.append((c.c_reduced, d))
         terms.append((sub.refined_det, -c.multiplicity))
     det = SquareClassFormula.product(terms, detb_exponent(shape))
     return RefinedResult(shape, constituents, dim, det.reduced())

@@ -353,6 +353,18 @@ class TestSquareClassFormula:
         det_b = SquareClassFormula.product([(formula, -1)], Poly((-1, 1)))
         assert det_b == SquareClassFormula({b: e * -1 for b, e in formula.factors.items()})
 
+    def test_a_constant_formula_takes_a_binomials_power(self):
+        e = Binomials((1, 2, 0, 1))
+        constant = SquareClassFormula.product([(Poly((-1, 2)) * 12, Binomials.unit(0))])
+        expect = SquareClassFormula.product([(Poly((-1, 2)) * 12, e)])
+        assert SquareClassFormula.product([(constant, e)]) == expect
+        for formula in (
+            SquareClassFormula.product([(12, Binomials.unit(1))]),
+            SquareClassFormula(constant.factors, Poly.const(1)),
+        ):
+            with pytest.raises(ValueError, match="has no power 1\\+2\\*N\\+C\\(N,3\\)"):
+                SquareClassFormula.product([(formula, e)])
+
     def test_product_rejects_non_splitting_and_non_positive_values(self):
         with pytest.raises(ArithmeticError, match="-N\\^4 \\+ 1 does not split"):
             SquareClassFormula.product([(Poly((1, 0, 0, 0, -1)), Binomials.unit(0))])
@@ -424,6 +436,16 @@ class TestSquareClassFormula:
         assert json.loads(blob) == f.to_json()
 
 
+@st.composite
+def _symmetric_matrices(draw):
+    """A random symmetric integer matrix, or A A^T + I, which is always positive definite."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    a = [draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        return [[sum(x * y for x, y in zip(a[i], a[j])) + (i == j) for j in range(n)] for i in range(n)]
+    return [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
 class TestLinearAlgebra:
     def test_bareiss_known(self):
         assert bareiss_det([[4, -2], [-2, 4]]) == 12
@@ -431,21 +453,23 @@ class TestLinearAlgebra:
         assert bareiss_det([]) == 1
 
     def test_bareiss_singular(self):
-        assert bareiss_det([[1, 2], [2, 4]]) == 0
+        for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+            with pytest.raises(ArithmeticError, match="not positive definite"):
+                bareiss_det(rows)
 
     def test_bareiss_needs_pivot(self):
-        assert bareiss_det([[0, 1], [1, 0]]) == -1
+        # pivoting would give -1; a Gram matrix never needs it, so a zero pivot raises
+        with pytest.raises(ArithmeticError, match="leading principal minor 1 is 0"):
+            bareiss_det([[0, 1], [1, 0]])
 
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=-5, max_value=5), min_size=4, max_size=4),
-            min_size=4,
-            max_size=4,
-        )
-    )
+    @given(_symmetric_matrices())
     def test_bareiss_matches_fraction_elimination(self, rows):
-        expect = _fraction_det([row[:] for row in rows])
-        assert bareiss_det(rows) == expect
+        minors = [_fraction_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+        if all(m > 0 for m in minors):
+            assert bareiss_det(rows) == minors[-1]
+        else:
+            with pytest.raises(ArithmeticError):
+                bareiss_det(rows)
 
     def test_poly_det(self):
         n = Poly((0, 1))

@@ -61,6 +61,13 @@ class TestWorkedBlocks:
         with pytest.raises(NoTableauxError, match="no tableaux"):
             gram_block(P((1, 1, 1)), (2, 1))
 
+    def test_a_rank_one_block_names_shape_and_pattern(self, monkeypatch):
+        # every tableau image gets the same column class, so the block has rank 1
+        monkeypatch.setattr("symdet.symmetrizer.column_classes", lambda shape, word_sum: {(1, 2, 3): 1})
+        message = r"shape \(2,1\) pattern \(1, 1, 1\): leading principal minor 2 is 0"
+        with pytest.raises(ArithmeticError, match=message):
+            gram_block(P((2, 1)), (1, 1, 1))
+
 
 def _symbolic_inner(u, v):
     """Full inner product with symbolic diagonal form values.

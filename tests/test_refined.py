@@ -389,6 +389,23 @@ class TestRefinedDecomposition:
         assert len(couplings) > 1
         assert Counter(factored) == Counter(couplings)
 
+    def test_no_intermediate_formula_per_constituent(self, monkeypatch):
+        # each coupling class is raised to its copy's dimension inside the one product
+        built = Counter()
+        real = SquareClassFormula.__init__
+
+        def counting(self, *args, **kwargs):
+            built["formulas"] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SquareClassFormula, "__init__", counting)
+        refined_decomposition.cache_clear()
+        try:
+            refined_decomposition(P((4, 2)))
+        finally:
+            refined_decomposition.cache_clear()
+        assert built["formulas"] == 43
+
     def test_an_unsplit_coupling_determinant_names_shape_and_gamma(self, monkeypatch):
         # N^2 + 1 has no rational linear factor, so it has no square class here
         monkeypatch.setattr(symdet.refined, "poly_matrix_det", lambda matrix: Poly((1, 0, 1)))
