@@ -38,7 +38,6 @@ _EXPORTS = {
     "dimension_poly": "combinat",
     "gram_block": "gram",
     "hook_block_det": "gram",
-    "interpolate": "exact",
     "partitions_of": "combinat",
     "phi_insert": "refined",
     "pi_contract": "refined",

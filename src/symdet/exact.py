@@ -33,10 +33,6 @@ from typing import Iterable, Mapping, Union
 Rat = Union[int, Fraction]
 
 
-class DegreeBoundError(ValueError):
-    """Sampled data is not polynomial of the assumed degree."""
-
-
 class Value:
     """Immutable value whose fields are its ``__slots__``, set once by ``__init__``.
 
@@ -383,39 +379,6 @@ def factored_display(content: Fraction, linear: Iterable[tuple[Poly, int]], resi
         pieces.append(f"({residual})")
     body = ("-" if content < 0 else "") + ("*".join(pieces) or "1")
     return body if content.denominator == 1 else f"{body}/{content.denominator}"
-
-
-def interpolate(points: list[tuple[int, Rat]], degree_bound: int) -> Poly:
-    """Exact polynomial through ``points`` with checked degree bound.
-
-    Fits the unique polynomial of degree <= ``degree_bound`` through the
-    first ``degree_bound + 1`` points (Newton divided differences) and
-    verifies it against every remaining point.  At least
-    ``degree_bound + 2`` points with distinct abscissae are required, so
-    the fit is always cross-checked.
-    """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    if len(points) < degree_bound + 2:
-        raise ValueError("need at least degree_bound + 2 sample points")
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("sample abscissae must be distinct")
-    fit = points[: degree_bound + 1]
-    # divided difference table
-    coefs = [Fraction(v) for _, v in fit]
-    for j in range(1, len(fit)):
-        for i in range(len(fit) - 1, j - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (fit[i][0] - fit[i - j][0])
-    poly = Poly()
-    base = Poly.const(1)
-    for i, c in enumerate(coefs):
-        poly = poly + base * c
-        base = base * Poly((-fit[i][0], 1))
-    for x, v in points[degree_bound + 1:]:
-        if poly(x) != Fraction(v):
-            raise DegreeBoundError("degree bound violated")
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Acceptance gate: one test per criterion, exact tolerances throughout.
 
 Every check is exact integer/rational arithmetic; there are no numeric
-tolerances anywhere.  Each test prints a single PASS line on success
-(visible with ``pytest -s`` or in the captured output).
+tolerances anywhere.  Criterion 6 adds a test of the range of N and one
+``slow`` test per weight-5 shape.  Each test prints a single PASS line
+on success (visible with ``pytest -s`` or in the captured output).
 """
 
+import itertools
 import json
 import math
 import random
@@ -12,6 +14,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
+import pytest
 
 from symdet.cli import main as cli_main
 from symdet.combinat import (
@@ -24,7 +27,7 @@ from symdet.combinat import (
     ssyt_with_pattern,
     standard_tableau_count,
 )
-from symdet.exact import Binomials, Poly, squarefree_part
+from symdet.exact import Binomials, Poly, poly_factor_rational
 from symdet.golden import load_golden, verify_refined
 from symdet.gram import closed_form_c, gram_block, symmetrization_determinant
 from symdet.refined import (
@@ -34,7 +37,7 @@ from symdet.refined import (
     pi_contract,
     refined_decomposition,
 )
-from symdet.symmetrizer import symmetrize, word_of_tableau
+from symdet.symmetrizer import column_sum, row_sum, symmetrize, word_of_tableau
 
 P = Partition
 GOLDEN = load_golden()
@@ -218,21 +221,8 @@ def test_criterion_5_property_suite():
 
 
 # ---------------------------------------------------------------------------
-# criterion 6: the refined determinant of the smallest two-row shape
+# criterion 6: refined determinants against a dense oracle at concrete N
 # ---------------------------------------------------------------------------
-
-
-def _weighted_inner(u, v, diag):
-    total = Fraction(0)
-    for w, cu in u.items():
-        cv = v.get(w)
-        if cv is None:
-            continue
-        q = Fraction(1)
-        for x in w:
-            q *= diag[x - 1]
-        total += cu * cv * q
-    return total
 
 
 def _fraction_rref_kernel(rows, ncols):
@@ -268,7 +258,7 @@ def _fraction_rref_kernel(rows, ncols):
 
 def _fraction_det(matrix):
     n = len(matrix)
-    m = [row[:] for row in matrix]
+    m = [[Fraction(x) for x in row] for row in matrix]
     det = Fraction(1)
     for k in range(n):
         pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
@@ -287,41 +277,73 @@ def _fraction_det(matrix):
     return det
 
 
-def _orthocomplement_class(N, diag):
-    """Dense oracle: Gram determinant class of the complement of the
-    embedded copy of the base space inside the symmetrized space."""
-    shape = P((2, 1))
+def _form(u, v, diag):
+    """<u, v> under the form diag(diag) on every tensor factor."""
+    return sum(c * v[w] * math.prod(diag[x - 1] for x in w) for w, c in u.items() if w in v)
+
+
+def _dense_refined(shape, diag):
+    """Dimension and Gram determinant of the refined part at N = len(diag), densely.
+
+    The symmetrized space is spanned by b_T = e u_T over the SSYT T with
+    entries up to N.  Its refined part W is the complement of the coupled
+    copies e phi_ij(z): the x in that span with pi_ij(e* x) = 0 for all
+    i < j, where e* = R C is the adjoint of e = C R.  Under B = diag(b),
+    phi_ij inserts sum_k e_k (x) e_k / b_k, and its adjoint pi_ij sums
+    b_k y[w with k at i and j].
+    """
+    N, n = len(diag), shape.n
     frame = frame_of(shape)
-    tabs = enumerate_ssyt(shape, N)
-    tabs.sort(key=lambda t: tuple(x for row in t for x in row))
-    basis = [symmetrize(shape, {word_of_tableau(frame, t): 1}) for t in tabs]
+    basis = [symmetrize(shape, {word_of_tableau(frame, t): 1}) for t in enumerate_ssyt(shape, N)]
     d = len(basis)
-    # embedded vectors: dual-pair insertion of each base vector, symmetrized
-    embedded = []
-    for i in range(1, N + 1):
-        vec = {}
-        for k in range(1, N + 1):
-            img = symmetrize(shape, {(k, k, i): 1})
-            for w, c in img.items():
-                vec[w] = vec.get(w, Fraction(0)) + Fraction(c, diag[k - 1])
-        embedded.append({w: c for w, c in vec.items() if c})
-    constraints = [
-        [_weighted_inner(b, x, diag) for x in basis] for b in embedded
-    ]
-    kernel = _fraction_rref_kernel(constraints, d)
-    assert len(kernel) == d - N
-    gram_full = [[_weighted_inner(basis[i], basis[j], diag) for j in range(d)] for i in range(d)]
-    gk = [
-        [sum(gram_full[i][j] * vec[j] for j in range(d)) for vec in kernel]
-        for i in range(d)
-    ]
+    constraints = {}
+    for col, x in enumerate(basis):
+        for w, c in row_sum(shape, column_sum(shape, x)).items():
+            for i, j in itertools.combinations(range(n), 2):
+                if w[i] == w[j]:
+                    rest = w[:i] + w[i + 1:j] + w[j + 1:]
+                    row = constraints.setdefault((i, j, rest), [Fraction(0)] * d)
+                    row[col] += diag[w[i] - 1] * c
+    # scaling a basis vector of W by s scales det G_W by s^2, so an
+    # integral basis keeps the class and the arithmetic on ints
+    kernel = []
+    for vec in _fraction_rref_kernel(list(constraints.values()), d):
+        scale = math.lcm(*(x.denominator for x in vec))
+        kernel.append([int(x * scale) for x in vec])
+    gram = [[_form(u, v, diag) for v in basis] for u in basis]
+    gk = [[sum(g * vec[t] for t, g in enumerate(row) if g) for vec in kernel] for row in gram]
     gram_w = [
-        [sum(vec[i] * gk[i][b] for i in range(d)) for b in range(len(kernel))]
+        [sum(vec[s] * gk[s][b] for s in range(d)) for b in range(len(kernel))]
         for vec in kernel
     ]
-    det = _fraction_det(gram_w)
-    assert det != 0
-    return squarefree_part(det)[0]
+    return len(kernel), _fraction_det(gram_w)
+
+
+def _dense_agrees(shape, diag, detb_exponent=None):
+    """The dense W has the engine's refined dimension and square class at N = len(diag).
+
+    The class is ``refined_det`` at N times det(B) to the parity of the
+    det(B) exponent, the engine's unless ``detb_exponent`` is given.
+    """
+    N = len(diag)
+    result = refined_decomposition(shape)
+    if detb_exponent is None:
+        detb_exponent = result.refined_det.detB_exponent(N)
+    expected = result.refined_det.evaluate_class(N) * math.prod(diag) ** (int(detb_exponent) % 2)
+    dim, det = _dense_refined(shape, diag)
+    ratio = det / expected  # a nonzero rational square when the classes agree
+    is_square = ratio > 0 and all(math.isqrt(x) ** 2 == x for x in (ratio.numerator, ratio.denominator))
+    return dim == result.refined_dimension(N) and is_square
+
+
+def _first_n(shape):
+    """N0 = lambda'_1 + lambda'_2, the least N at which the O(N) module [lambda] is nonzero."""
+    cols = shape.conjugate().parts + (0,)
+    return cols[0] + cols[1]
+
+
+def _stretched(N):
+    return (1,) * (N - 1) + (2,)
 
 
 def test_criterion_6_refined_determinant():
@@ -336,19 +358,66 @@ def test_criterion_6_refined_determinant():
     assert reduced.detB_exponent == Poly((-2, 0, 1))
     assert reduced.render_text() == "2^N * 3^C(N,3) * (N - 1)^N * det(B)^(N^2 - 2)"
 
-    # dense oracle, orthonormal model
+    # dense oracle for (2,1), orthonormal model
     for N in (4, 5, 6):
-        expected = reduced.evaluate_class(N)  # det(B) = 1 here
-        assert _orthocomplement_class(N, (1,) * N) == expected, N
+        assert _dense_agrees(P((2, 1)), (1,) * N), N
 
     # dense oracle with one stretched direction: checks the det(B) exponent
     for N in (4, 5):
-        diag = (1,) * (N - 1) + (2,)
-        det_b = 2
-        parity = int(reduced.detB_exponent(N)) % 2
-        expected = squarefree_part(reduced.evaluate_class(N) * det_b**parity)[0]
-        assert _orthocomplement_class(N, diag) == expected, N
-    print(f"\nACCEPTANCE 6: PASS - refined determinant formula and oracle ({time.time()-t0:.0f}s)")
+        assert _dense_agrees(P((2, 1)), _stretched(N)), N
+
+    # every shape of weight 2..4, from the first N where [lambda] is nonzero
+    mismatches, runs = [], 0
+    for n in range(2, 5):
+        for shape in partitions_of(n):
+            for N in (_first_n(shape), _first_n(shape) + 1):
+                for diag in ((1,) * N, _stretched(N)):
+                    runs += 1
+                    if not _dense_agrees(shape, diag):
+                        mismatches.append((shape, diag))
+    assert runs == 40
+    assert not mismatches, mismatches
+    print(
+        f"\nACCEPTANCE 6: PASS - refined determinant formula and dense oracle, "
+        f"{runs + 5} runs ({time.time()-t0:.0f}s)"
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", partitions_of(5), ids=str)
+def test_criterion_6_weight_five(shape):
+    for N in (_first_n(shape), _first_n(shape) + 1):
+        assert _dense_agrees(shape, (1,) * N), N
+
+
+def test_criterion_6_range_of_n():
+    t0 = time.time()
+    # Koike-Terada (1987): [lambda] is nonzero exactly for N >= N0, so no
+    # coupling determinant or linear base of the refined class may vanish
+    # there, and the refined dimension turns on at N0
+    violations, couplings = [], 0
+    for shape in (p for n in range(2, 8) for p in partitions_of(n)):
+        n0 = _first_n(shape)
+        result = refined_decomposition(shape)
+        bases = [b for b in result.refined_det.factors if isinstance(b, Poly)]
+        for c in result.constituents:
+            couplings += 1
+            _, linear, residual = poly_factor_rational(c.c_det)
+            if residual.degree > 0:
+                violations.append(f"{shape}/{c.gamma}: {residual} does not split")
+            bases += [factor for factor, _ in linear]
+        for base in bases:
+            if -base.coeffs[0] / base.coeffs[1] > n0 - 2:
+                violations.append(f"{shape}: root of {base} above N0 - 2 = {n0 - 2}")
+        dims = [result.refined_dimension(N) for N in range(n0 - 1, n0 + 12)]
+        if dims[0] != 0 or min(dims[1:]) <= 0:
+            violations.append(f"{shape}: refined dimension {dims} from N0 - 1 = {n0 - 1}")
+    assert couplings == 108
+    assert not violations, violations
+    print(
+        f"\nACCEPTANCE 6 (range): PASS - 43 shapes, {couplings} couplings, "
+        f"no root above N0 - 2, refined dimension on from N0 ({time.time()-t0:.0f}s)"
+    )
 
 
 def test_criterion_7_negative_controls(tmp_path, capsys):
@@ -365,4 +434,13 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
 
     # exterior powers admit no contraction constituents
     assert constituent_poly(P((1, 1, 1, 1)), P((1, 1))) is None
+
+    # the dense oracle tells the engine's det(B) exponent from n * dim / N,
+    # which differs from it by N + 1 for (2,2)
+    shape, diag = P((2, 2)), _stretched(4)
+    result = refined_decomposition(shape)
+    naive = shape.n * result.refined_dimension(4) / 4
+    assert (result.refined_det.detB_exponent(4), naive) == (15, 10)
+    assert _dense_agrees(shape, diag)
+    assert not _dense_agrees(shape, diag, naive)
     print("\nACCEPTANCE 7: PASS - negative controls behave")

@@ -6,13 +6,11 @@ from hypothesis import given, strategies as st
 
 from symdet.exact import (
     Binomials,
-    DegreeBoundError,
     Poly,
     SquareClassFormula,
     bareiss_det,
     factored_display,
     factorint,
-    interpolate,
     poly_factor_rational,
     poly_matrix_det,
     squarefree_part,
@@ -225,34 +223,6 @@ class TestPolyFactorRational:
         assert content == Fraction(num, den)
         assert linear == sorted(expected, key=lambda t: tuple(t[0].coeffs))
         assert residual == quadratic**e
-
-
-class TestInterpolate:
-    def test_linear(self):
-        assert interpolate([(3, 16), (4, 24), (5, 32)], 1) == Poly((-8, 8))
-
-    def test_constant(self):
-        assert interpolate([(2, 1), (3, 1), (4, 1)], 0) == Poly.const(1)
-
-    def test_degree_bound_violation(self):
-        with pytest.raises(DegreeBoundError, match="degree bound violated"):
-            interpolate([(1, 1), (2, 4), (3, 9), (4, 17)], 2)
-
-    def test_needs_extra_point(self):
-        with pytest.raises(ValueError):
-            interpolate([(1, 1), (2, 2)], 1)
-
-    @given(
-        st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5),
-        st.integers(min_value=-3, max_value=3),
-    )
-    def test_exact_recovery(self, coeffs, start):
-        p = Poly(coeffs)
-        deg = max(p.degree, 0)
-        pts = [(x, p(x)) for x in range(start, start + deg + 3)]
-        q = interpolate(pts, deg)
-        assert q == p
-        assert all(q(x) == v for x, v in pts)
 
 
 # (base, k, multiplier) of one factor base^(multiplier * C(N,k)), and whether

@@ -9,7 +9,7 @@ import symdet.combinat
 import symdet.exact
 import symdet.refined
 from symdet.combinat import Partition, partitions_of
-from symdet.exact import Binomials, Poly, SquareClassFormula, interpolate, poly_matrix_det
+from symdet.exact import Binomials, Poly, SquareClassFormula, poly_matrix_det
 from symdet.refined import (
     ConcreteTensor,
     all_disjoint_chains,
@@ -421,18 +421,17 @@ class TestRefinedDecomposition:
         )
 
 
-def _interpolated_coupling(shape, c):
-    """The coupling rebuilt from concrete-N Grams of the chosen chains."""
+def _coupling_agrees_at_concrete_n(shape, c):
+    """The chosen chains' Gram at N = n .. n + 2j + 1 equals the coupling's value there.
+
+    Every entry has degree <= j, so agreement at these 2j + 2 points
+    pins each entry as exactly as a fit of degree <= 2j through them.
+    """
     j = len(c.chains[0])
-    samples = range(shape.n, shape.n + 2 * j + 2)
-    grams = {N: constituent_gram(shape, c.gamma, list(c.chains), N) for N in samples}
-    size = len(c.chains)
-    return tuple(
-        tuple(
-            interpolate([(N, grams[N][a][b]) for N in samples], 2 * j)
-            for b in range(size)
-        )
-        for a in range(size)
+    return all(
+        constituent_gram(shape, c.gamma, list(c.chains), N)
+        == [[e(N) for e in row] for row in c.c_matrix]
+        for N in range(shape.n, shape.n + 2 * j + 2)
     )
 
 
@@ -449,14 +448,14 @@ class TestSymbolicAgainstConcrete:
     )
     def test_named_couplings(self, shape, gamma):
         c = constituent_poly(shape, gamma)
-        assert _interpolated_coupling(shape, c) == c.c_matrix
+        assert _coupling_agrees_at_concrete_n(shape, c)
 
     @pytest.mark.parametrize(
         "shape", [p for n in range(2, 6) for p in partitions_of(n)], ids=str
     )
     def test_every_coupling_up_to_weight_five(self, shape):
         for c in refined_decomposition(shape).constituents:
-            assert _interpolated_coupling(shape, c) == c.c_matrix, c.gamma
+            assert _coupling_agrees_at_concrete_n(shape, c), c.gamma
 
     def test_absent_constituent_images_vanish_concretely(self):
         shape, gamma = P((4, 2)), P((1, 1))
@@ -475,10 +474,8 @@ class TestSymbolicAgainstConcrete:
             "embed_chain",
             "symmetrize_tensor",
             "reference_vector",
-            "interpolate",
         ):
-            monkeypatch.setattr(symdet.refined, name, forbidden, raising=False)
-        monkeypatch.setattr(symdet.exact, "interpolate", forbidden)
+            monkeypatch.setattr(symdet.refined, name, forbidden)
         refined_decomposition.cache_clear()
         try:
             for n in range(2, 6):
