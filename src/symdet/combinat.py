@@ -1,13 +1,14 @@
 """Partitions, compositions, Young diagrams and semistandard tableaux.
 
-The tableau frame fixes the row-major labeling of diagram boxes by
-1..n; its row and column label sets generate the two permutation
-groups that the symmetrizer module materializes.
+The boxes of a shape are labeled 0..n-1 row by row, so a tableau's
+word is its rows concatenated, ``sum(tableau, ())``; the symmetrizer
+module builds its row and column groups on that labeling.
 
 The semistandard tableaux of a shape are enumerated once, for every
 pattern together, by filling each letter as a horizontal strip
 (:func:`_tableaux_by_pattern`); :func:`ssyt_with_pattern` looks one
-pattern up in that table.
+pattern up in that table, and :func:`patterns_of` lists the patterns
+it holds.
 """
 
 from __future__ import annotations
@@ -120,36 +121,6 @@ def _compositions_length(n: int, k: int) -> list[Pattern]:
     return out
 
 
-class TableauFrame(Value):
-    """Row-major labeling of the boxes of a shape by positions 0..n-1.
-
-    ``rows``/``cols`` are the label sets of the horizontal and vertical
-    partitions of {0,..,n-1}; the symmetrizer is built from them.
-
-    Fields: shape: Partition, rows: tuple[tuple[int, ...], ...], cols: tuple[tuple[int, ...], ...].
-    """
-
-    __slots__ = ("shape", "rows", "cols")
-
-
-@lru_cache(maxsize=None)
-def frame_of(shape: Partition) -> TableauFrame:
-    rows = []
-    label = 0
-    for p in shape:
-        rows.append(tuple(range(label, label + p)))
-        label += p
-    ncols = shape[0] if len(shape) else 0
-    cols = []
-    for c in range(ncols):
-        col = []
-        for r, p in enumerate(shape):
-            if c < p:
-                col.append(rows[r][c])
-        cols.append(tuple(col))
-    return TableauFrame(shape, tuple(rows), tuple(cols))
-
-
 @lru_cache(maxsize=None)
 def _tableaux_by_pattern(shape: Partition) -> Mapping[Pattern, tuple[tuple[tuple[int, ...], ...], ...]]:
     """Every semistandard tableau of ``shape`` on the letters 1..k for some k, by pattern.
@@ -198,20 +169,10 @@ def ssyt_with_pattern(shape: Partition, pattern: Pattern) -> tuple[tuple[tuple[i
     return _tableaux_by_pattern(shape).get(tuple(pattern), ())
 
 
-def dominates(shape: Partition, pattern: Pattern) -> bool:
-    """Whether ``shape`` dominates the sorted ``pattern`` of the same weight.
-
-    That holds exactly when some semistandard tableau of ``shape`` has
-    content ``pattern``, i.e. when the Kostka number is positive.
-    """
-    parts = sorted(pattern, reverse=True)
-    top = bottom = 0
-    for i, part in enumerate(parts):
-        top += shape[i] if i < len(shape) else 0
-        bottom += part
-        if top < bottom:
-            return False
-    return True
+def patterns_of(shape: Partition) -> list[Pattern]:
+    """Patterns with at least one tableau, in the order of :func:`compositions_of`."""
+    table = _tableaux_by_pattern(shape)
+    return [p for p in compositions_of(shape.n) if p in table]
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -18,7 +18,7 @@ import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
-from .combinat import Partition, dominates, partitions_of
+from .combinat import Partition, partitions_of, patterns_of
 from .exact import Binomials, Poly, SquareClassFormula, Value
 from .gram import MAX_TABLE_N, DetClass, determinant_classes, gram_block
 from .refined import MAX_REFINED_N, refined_decomposition
@@ -121,7 +121,7 @@ def _parse_golden(doc: dict) -> GoldenTables:
         pattern = tuple(int(x) for x in pat_s.split(","))
         if shape.n > MAX_TABLE_N:
             raise ValueError(f"matrix key {key!r} is beyond the limit n <= {MAX_TABLE_N}")
-        if min(pattern) < 1 or sum(pattern) != shape.n or not dominates(shape, pattern):
+        if pattern not in patterns_of(shape):
             raise ValueError(f"matrix key {key!r} names a pattern with no tableau of its shape")
         if any(len(row) != len(mat) or any(type(x) is not int for x in row) for row in mat):
             raise ValueError(f"matrix {key!r} is not a square list of integer rows")

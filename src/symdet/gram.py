@@ -39,8 +39,7 @@ from .combinat import (
     compositions_of,
     detb_exponent,
     dimension_poly,
-    dominates,
-    frame_of,
+    patterns_of,
     ssyt_with_pattern,
 )
 from .exact import Binomials, Poly, SquareClassFormula, Value, bareiss_det
@@ -101,15 +100,14 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     and the pattern.
     """
     # imported here, on the sym-only path: determinant_classes needs no symmetrizer
-    from .symmetrizer import column_classes, free_tail, row_sum_sorted_tail, stabilizer_order, word_of_tableau
+    from .symmetrizer import column_classes, free_tail, row_sum_sorted_tail, stabilizer_order
 
     tableaux = ssyt_with_pattern(shape, pattern)
     if not tableaux:
         raise NoTableauxError(f"no tableaux for shape {shape} pattern {pattern}")
-    frame = frame_of(shape)
     holders: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # key -> [(s, a_s[key])], s ascending
     for s, t in enumerate(tableaux):
-        classes = column_classes(shape, row_sum_sorted_tail(shape, {word_of_tableau(frame, t): 1}))
+        classes = column_classes(shape, row_sum_sorted_tail(shape, {sum(t, ()): 1}))
         for key, c in classes.items():
             holders.setdefault(key, []).append((s, c))
     free = free_tail(shape)
@@ -129,7 +127,7 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     for i in range(size):
         for j in range(i):
             reduced[i][j] = reduced[j][i]
-    col_order = math.prod(math.factorial(len(col)) for col in frame.cols)
+    col_order = math.prod(map(math.factorial, shape.conjugate().parts))
     matrix = tuple(tuple(col_order * v for v in row) for row in reduced)
     try:
         det = col_order**size * bareiss_det(reduced)
@@ -155,11 +153,6 @@ class DetClass(Value):
     """
 
     __slots__ = ("shape", "c_reduced", "dimension")
-
-
-def patterns_of(shape: Partition) -> list[Pattern]:
-    """Patterns with at least one tableau, in the deterministic order."""
-    return [p for p in compositions_of(shape.n) if dominates(shape, p)]
 
 
 def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:

@@ -36,7 +36,7 @@ from .symmetrizer import column_sum, row_sum, symmetrize
 Word = tuple[int, ...]
 Chain = tuple[tuple[int, int], ...]
 
-MAX_REFINED_N = 7
+MAX_REFINED_N = 8
 
 
 class ConcreteTensor(Value):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .combinat import Partition, TableauFrame, frame_of
+from .combinat import Partition
 
 Word = tuple[int, ...]
 Coeff = int | Fraction
@@ -48,17 +48,19 @@ Coeff = int | Fraction
 
 @lru_cache(maxsize=None)
 def _symmetrizer_tables(shape: Partition):
-    """Row segments, column readers and the class-key placer of the row-major frame.
+    """Row segments, column readers and the class-key placer of the row-major box labels.
 
-    A segment (a, b) spans the positions of one row; a reader
-    (positions, getter) returns the letters of one column of length >= 2.
-    The placer (None without such a column) maps the sorted letters of
-    those columns, in reader order, followed by the whole word, to the
-    word with each such column sorted in place.
+    The boxes are labeled 0..n-1 row by row, so box (r, c), counted from
+    0, is position lambda_1 + .. + lambda_r + c.  A segment (a, b) spans the positions
+    of one row; a reader (positions, getter) returns the letters of one
+    column of length >= 2, top to bottom.  The placer (None without such
+    a column) maps the sorted letters of those columns, in reader order,
+    followed by the whole word, to the word with each such column sorted
+    in place.
     """
-    frame = frame_of(shape)
-    segs = tuple((row[0], row[-1] + 1) for row in frame.rows)
-    cols = [col for col in frame.cols if len(col) > 1]
+    starts = list(itertools.accumulate(shape.parts, initial=0))
+    segs = tuple(zip(starts, starts[1:]))
+    cols = [tuple(starts[r] + c for r in range(h)) for c, h in enumerate(shape.conjugate().parts) if h > 1]
     readers = tuple((col, itemgetter(*col)) for col in cols)
     sorted_at = {p: i for i, p in enumerate(p for col in cols for p in col)}
     place = itemgetter(*(sorted_at.get(p, len(sorted_at) + p) for p in range(shape.n))) if cols else None
@@ -223,10 +225,3 @@ def symmetrize(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
     Letters may be any ints and coefficients int or Fraction.
     """
     return column_sum(shape, row_sum(shape, terms))
-
-
-def word_of_tableau(frame: TableauFrame, tableau: tuple[tuple[int, ...], ...]) -> Word:
-    """Letter at position i = entry of the box labeled i (row-major)."""
-    if tuple(len(r) for r in tableau) != frame.shape.parts:
-        raise ValueError("tableau shape does not match the frame")
-    return tuple(x for row in tableau for x in row)

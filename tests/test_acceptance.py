@@ -22,7 +22,6 @@ from symdet.combinat import (
     compositions_of,
     dimension_poly,
     enumerate_ssyt,
-    frame_of,
     partitions_of,
     ssyt_with_pattern,
     standard_tableau_count,
@@ -37,7 +36,7 @@ from symdet.refined import (
     pi_contract,
     refined_decomposition,
 )
-from symdet.symmetrizer import column_sum, row_sum, symmetrize, word_of_tableau
+from symdet.symmetrizer import column_sum, row_sum, symmetrize
 
 P = Partition
 GOLDEN = load_golden()
@@ -162,12 +161,11 @@ def test_criterion_5_property_suite():
     # images of tableaux with different letter patterns are orthogonal
     for n in range(2, 6):
         for shape in partitions_of(n):
-            frame = frame_of(shape)
             per_pattern = []
             for pattern in compositions_of(n):
                 tabs = ssyt_with_pattern(shape, pattern)
                 if tabs:
-                    per_pattern.append(symmetrize(shape, {word_of_tableau(frame, tabs[0]): 1}))
+                    per_pattern.append(symmetrize(shape, {sum(tabs[0], ()): 1}))
             for i, u in enumerate(per_pattern):
                 for v in per_pattern[i + 1:]:
                     assert sum(c * v.get(w, 0) for w, c in u.items()) == 0
@@ -293,8 +291,7 @@ def _dense_refined(shape, diag):
     b_k y[w with k at i and j].
     """
     N, n = len(diag), shape.n
-    frame = frame_of(shape)
-    basis = [symmetrize(shape, {word_of_tableau(frame, t): 1}) for t in enumerate_ssyt(shape, N)]
+    basis = [symmetrize(shape, {sum(t, ()): 1}) for t in enumerate_ssyt(shape, N)]
     d = len(basis)
     constraints = {}
     for col, x in enumerate(basis):
@@ -396,7 +393,7 @@ def test_criterion_6_range_of_n():
     # coupling determinant or linear base of the refined class may vanish
     # there, and the refined dimension turns on at N0
     violations, couplings = [], 0
-    for shape in (p for n in range(2, 8) for p in partitions_of(n)):
+    for shape in (p for n in range(2, 9) for p in partitions_of(n)):
         n0 = _first_n(shape)
         result = refined_decomposition(shape)
         bases = [b for b in result.refined_det.factors if isinstance(b, Poly)]
@@ -412,10 +409,10 @@ def test_criterion_6_range_of_n():
         dims = [result.refined_dimension(N) for N in range(n0 - 1, n0 + 12)]
         if dims[0] != 0 or min(dims[1:]) <= 0:
             violations.append(f"{shape}: refined dimension {dims} from N0 - 1 = {n0 - 1}")
-    assert couplings == 108
+    assert couplings == 219
     assert not violations, violations
     print(
-        f"\nACCEPTANCE 6 (range): PASS - 43 shapes, {couplings} couplings, "
+        f"\nACCEPTANCE 6 (range): PASS - 65 shapes, {couplings} couplings, "
         f"no root above N0 - 2, refined dimension on from N0 ({time.time()-t0:.0f}s)"
     )
 

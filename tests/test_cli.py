@@ -7,8 +7,8 @@ from importlib import resources
 import pytest
 
 from symdet.cli import main, parse_partition
-from symdet.combinat import Partition, partitions_of
-from symdet.gram import gram_block, patterns_of
+from symdet.combinat import Partition, partitions_of, patterns_of
+from symdet.gram import gram_block
 
 
 def run(capsys, *argv):
@@ -158,7 +158,7 @@ class TestRefinedCommand:
 
     def test_unsupported_weight(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["refined", "8"])
+            main(["refined", "9"])
         assert exc.value.code == 2
 
     def test_json_shape(self, capsys):
@@ -278,8 +278,8 @@ class TestVerifyCommand:
             _edited_golden(lambda doc: doc["symmetrizations"][0].update(partition=[True, True])),
             _edited_golden(lambda doc: doc["coupling_42_2"]["matrix"][0][0].__setitem__(0, "-8192")),
             _edited_golden(lambda doc: doc["refined"][0].update(class_constant=-1)),
-            # refined accepts n <= 7, so a weight-8 row could never be checked
-            _edited_golden(lambda doc: doc["refined"].append(dict(doc["refined"][0], partition=[8]))),
+            # refined accepts n <= 8, so a weight-9 row could never be checked
+            _edited_golden(lambda doc: doc["refined"].append(dict(doc["refined"][0], partition=[9]))),
             # sym goes to n <= 9, so a heavier table row or matrix key could never be checked
             *(
                 _edited_golden(lambda doc, key=key: doc[key].append(dict(doc[key][0], partition=[6] * 5)))
@@ -400,6 +400,16 @@ class TestPinnedOutput:
             assert code == 0
             digest.update(out.encode())
         assert digest.hexdigest() == "d67de71c2c0bfcd086f043c0a5aff3541b5c4aec78b1c851eb10c499110a40de"
+
+    def test_refined_json_of_weight_eight(self, capsys):
+        digest = hashlib.sha256()
+        shapes = partitions_of(8)
+        assert len(shapes) == 22
+        for shape in shapes:
+            code, out = run(capsys, "--format", "json", "refined", ",".join(map(str, shape.parts)))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == "11277ff1eb4a184f7b02f3194b95e1be20961bc501b1990ddbf88e0cb4ad0a35"
 
     def test_text_and_latex_of_refined_through_weight_seven_and_sym_through_six(self, capsys):
         digest = hashlib.sha256()

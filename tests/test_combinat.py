@@ -10,9 +10,7 @@ from symdet.combinat import (
     compositions_of,
     dimension_poly,
     dimension_str,
-    dominates,
     enumerate_ssyt,
-    frame_of,
     littlewood_multiplicity,
     lr_coefficient,
     partitions_of,
@@ -92,6 +90,17 @@ class TestSSYT:
                         assert all(col[i] < col[i + 1] for i in range(len(col) - 1))
 
     def test_dominance_decides_tableau_existence(self):
+        def dominates(shape, pattern):
+            # every partial sum of the sorted pattern is at most the shape's
+            parts = sorted(pattern, reverse=True)
+            top = bottom = 0
+            for i, part in enumerate(parts):
+                top += shape[i] if i < len(shape) else 0
+                bottom += part
+                if top < bottom:
+                    return False
+            return True
+
         for n in range(1, 9):
             for shape in partitions_of(n):
                 for pattern in compositions_of(n):
@@ -272,21 +281,6 @@ class TestLittlewoodRichardson:
                 for k in range(n - 1, -1, -1)
                 for gamma in partitions_of(k)
             )
-
-
-class TestFrame:
-    def test_row_major_labels(self):
-        frame = frame_of(Partition((2, 1)))
-        assert frame.rows == ((0, 1), (2,))
-        assert frame.cols == ((0, 2), (1,))
-
-    def test_labels_partition_positions(self):
-        for shape in partitions_of(6):
-            frame = frame_of(shape)
-            row_labels = sorted(x for r in frame.rows for x in r)
-            col_labels = sorted(x for c in frame.cols for x in c)
-            assert row_labels == list(range(shape.n))
-            assert col_labels == list(range(shape.n))
 
 
 @given(st.integers(min_value=1, max_value=8))

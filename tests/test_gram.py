@@ -7,8 +7,8 @@ from symdet.combinat import (
     compositions_of,
     dimension_poly,
     enumerate_ssyt,
-    frame_of,
     partitions_of,
+    patterns_of,
     ssyt_with_pattern,
 )
 from symdet.exact import POLY_N, Poly, SquareClassFormula, bareiss_det, squarefree_part
@@ -18,10 +18,9 @@ from symdet.gram import (
     determinant_classes,
     gram_block,
     hook_block_det,
-    patterns_of,
     symmetrization_determinant,
 )
-from symdet.symmetrizer import _column_group, symmetrize, word_of_tableau
+from symdet.symmetrizer import _column_group, symmetrize
 
 P = Partition
 
@@ -94,10 +93,9 @@ class TestBlockDiagonalStructure:
         # block is the shared pattern matrix times the content monomial
         for n in range(2, 5):
             for shape in partitions_of(n):
-                frame = frame_of(shape)
                 for N in range(n, min(n + 2, 6)):
                     tabs = enumerate_ssyt(shape, N)
-                    words = [word_of_tableau(frame, t) for t in tabs]
+                    words = [sum(t, ()) for t in tabs]
                     images = [symmetrize(shape, {w: 1}) for w in words]
                     contents = [tuple(sorted(w)) for w in words]
                     by_content = {}
@@ -124,10 +122,9 @@ class TestBlockDiagonalStructure:
 
 
 def _assert_blocks_match_full_image_products(shape):
-    frame = frame_of(shape)
     for pattern in patterns_of(shape):
         images = [
-            symmetrize(shape, {word_of_tableau(frame, t): 1})
+            symmetrize(shape, {sum(t, ()): 1})
             for t in ssyt_with_pattern(shape, pattern)
         ]
         expected = tuple(

@@ -29,9 +29,9 @@ from itertools import groupby
 
 import pytest
 
-from symdet.combinat import Partition, partitions_of, ssyt_with_pattern
+from symdet.combinat import Partition, partitions_of, patterns_of, ssyt_with_pattern
 from symdet.exact import Binomials, SquareClassFormula
-from symdet.gram import determinant_classes, gram_block, patterns_of, symmetrization_determinant
+from symdet.gram import determinant_classes, gram_block, symmetrization_determinant
 
 
 def _valuation(x: int, p: int) -> int:

@@ -314,13 +314,13 @@ class TestRefinedDecomposition:
         assert refined_decomposition(P((2, 2))).refined_det.factors
 
     @pytest.mark.parametrize(
-        "shape", [p for n in range(2, 8) for p in partitions_of(n)], ids=str
+        "shape", [p for n in range(2, 9) for p in partitions_of(n)], ids=str
     )
     def test_dimension_matches_el_samra_king(self, shape):
         assert refined_decomposition(shape).refined_dimension == _el_samra_king(shape)
 
     @pytest.mark.parametrize(
-        "shape", [p for n in range(2, 8) for p in partitions_of(n)], ids=str
+        "shape", [p for n in range(2, 9) for p in partitions_of(n)], ids=str
     )
     def test_coupling_det_is_the_last_accepted_trial(self, shape):
         for c in refined_decomposition(shape).constituents:
@@ -329,7 +329,7 @@ class TestRefinedDecomposition:
             assert len(c.chains) == c.multiplicity
 
     @pytest.mark.parametrize(
-        "shape", [p for n in range(2, 8) for p in partitions_of(n)], ids=str
+        "shape", [p for n in range(2, 9) for p in partitions_of(n)], ids=str
     )
     def test_every_class_is_held_reduced(self, shape):
         result = refined_decomposition(shape)
@@ -340,7 +340,7 @@ class TestRefinedDecomposition:
 
     def test_degree_limit(self):
         with pytest.raises(ValueError):
-            refined_decomposition(P((8,)))
+            refined_decomposition(P((9,)))
 
     def test_base_cases(self):
         empty = refined_decomposition(P(()))
@@ -443,6 +443,8 @@ class TestSymbolicAgainstConcrete:
             (P((4, 2)), P(())),
             (P((3, 3)), P((1, 1))),
             (P((2, 2, 1, 1)), P((1, 1))),
+            pytest.param(P((7, 1)), P((5, 1)), marks=pytest.mark.slow),
+            pytest.param(P((6, 2)), P((4,)), marks=pytest.mark.slow),  # multiplicity 2
         ],
         ids=str,
     )

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from symdet.combinat import (
     Partition,
     compositions_of,
-    frame_of,
     partitions_of,
     ssyt_with_pattern,
     standard_tableau_count,
@@ -19,7 +18,6 @@ from symdet.symmetrizer import (
     row_sum,
     row_sum_sorted_tail,
     symmetrize,
-    word_of_tableau,
 )
 
 
@@ -62,17 +60,6 @@ class TestWorkedExpansions:
 
     def test_column_repeat_vanishes(self):
         assert _sym((1, 1), (1, 1)) == {}
-
-
-class TestWordOfTableau:
-    def test_row_major(self):
-        frame = frame_of(Partition((2, 1)))
-        assert word_of_tableau(frame, ((1, 1), (2,))) == (1, 1, 2)
-        assert word_of_tableau(frame, ((1, 3), (2,))) == (1, 3, 2)
-
-    def test_column_shape(self):
-        frame = frame_of(Partition((1, 1, 1)))
-        assert word_of_tableau(frame, ((1,), (2,), (3,))) == (1, 2, 3)
 
 
 class TestInnerProduct:
@@ -132,11 +119,10 @@ class TestContentOrthogonality:
     def test_exhaustive_different_patterns(self):
         for n in range(2, 6):
             for shape in partitions_of(n):
-                frame = frame_of(shape)
                 images = {}
                 for pattern in compositions_of(n):
                     for tab in ssyt_with_pattern(shape, pattern):
-                        word = word_of_tableau(frame, tab)
+                        word = sum(tab, ())
                         images.setdefault(pattern, []).append(symmetrize(shape, {word: 1}))
                 patterns = sorted(images)
                 for i, p in enumerate(patterns):
@@ -157,6 +143,14 @@ def test_no_zero_coefficients_stored(shape, data):
     )
     img = symmetrize(shape, {word: 1})
     assert all(c != 0 for c in img.values())
+
+
+def _rows_and_cols(shape):
+    """The box labels 0..n-1, assigned row by row, grouped by row and by column."""
+    boxes = [(r, c) for r, p in enumerate(shape.parts) for c in range(p)]
+    rows = [tuple(i for i, (r, _) in enumerate(boxes) if r == k) for k in range(len(shape.parts))]
+    cols = [tuple(i for i, (_, c) in enumerate(boxes) if c == k) for k in range(shape.parts[0])]
+    return rows, cols
 
 
 def _group(blocks, n):
@@ -194,8 +188,8 @@ def _naive_sum(blocks, terms, n, signed=False):
 
 def _naive_symmetrizer(shape, terms):
     """Signed double sum over explicitly enumerated row and column permutations."""
-    frame = frame_of(shape)
-    return _naive_sum(frame.cols, _naive_sum(frame.rows, terms, shape.n), shape.n, signed=True)
+    rows, cols = _rows_and_cols(shape)
+    return _naive_sum(cols, _naive_sum(rows, terms, shape.n), shape.n, signed=True)
 
 
 SHAPES = [p for n in range(2, 6) for p in partitions_of(n)]
@@ -230,14 +224,14 @@ def _draw_terms(data, shape):
 @given(st.sampled_from(SHAPES), st.data())
 def test_row_sum_matches_sum_over_row_group(shape, data):
     terms = _draw_terms(data, shape)
-    assert row_sum(shape, terms) == _naive_sum(frame_of(shape).rows, terms, shape.n)
+    assert row_sum(shape, terms) == _naive_sum(_rows_and_cols(shape)[0], terms, shape.n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SHAPES), st.data())
 def test_column_classes_expand_to_signed_column_sum(shape, data):
     terms = _draw_terms(data, shape)
-    cols = frame_of(shape).cols
+    _, cols = _rows_and_cols(shape)
     expected = _naive_sum(cols, terms, shape.n, signed=True)
     classes = column_classes(shape, terms)
     assert _naive_sum(cols, classes, shape.n, signed=True) == expected
@@ -273,7 +267,7 @@ TALL = [p for p in SHAPES if len(p.parts) > 1]
 @given(st.sampled_from(TALL), st.data())
 def test_column_repeat_has_no_class(shape, data):
     word = list(data.draw(st.tuples(*[LETTERS] * shape.n)))
-    col = data.draw(st.sampled_from([c for c in frame_of(shape).cols if len(c) > 1]))
+    col = data.draw(st.sampled_from([c for c in _rows_and_cols(shape)[1] if len(c) > 1]))
     i, j = data.draw(st.lists(st.sampled_from(col), min_size=2, max_size=2, unique=True))
     word[j] = word[i]
     assert column_classes(shape, {tuple(word): data.draw(COEFFS)}) == {}
@@ -282,16 +276,16 @@ def test_column_repeat_has_no_class(shape, data):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(TALL), st.data())
 def test_class_carries_sign_of_sort(shape, data):
-    frame = frame_of(shape)
+    _, cols = _rows_and_cols(shape)
     word = [None] * shape.n
     key = [None] * shape.n
-    for col in frame.cols:
+    for col in cols:
         letters = data.draw(
             st.lists(st.integers(-3, 3), min_size=len(col), max_size=len(col), unique=True)
         )
         for p, x, y in zip(col, letters, sorted(letters)):
             word[p], key[p] = x, y
     word, key = tuple(word), tuple(key)
-    (g,) = [g for g in _group(frame.cols, shape.n) if _act(g, key) == word]
+    (g,) = [g for g in _group(cols, shape.n) if _act(g, key) == word]
     coeff = data.draw(COEFFS.filter(bool))
     assert column_classes(shape, {word: coeff}) == {key: _sign(g) * coeff}

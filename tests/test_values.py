@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdet.combinat import Partition, frame_of
+from symdet.combinat import Partition
 from symdet.exact import Binomials, Poly, SquareClassFormula, Value
 from symdet.golden import VerifyReport, load_golden
 from symdet.gram import GramBlock, determinant_classes, gram_block, symmetrization_determinant
@@ -22,7 +22,6 @@ def _instances():
     refined = refined_decomposition(P((3, 1)))
     return [
         P((2, 1)),
-        frame_of(P((2, 1))),
         Poly((1, 2)),
         Binomials((1, 0, 1)),
         SquareClassFormula(formula.factors, Poly((0, 1))),
@@ -43,7 +42,7 @@ VALUES = _instances()
 
 def test_every_value_class_is_covered():
     classes = {type(x) for x in VALUES}
-    assert len(classes) == len(VALUES) == 14
+    assert len(classes) == len(VALUES) == 13
     assert all(isinstance(x, Value) and not hasattr(x, "__dict__") for x in VALUES)
 
 
