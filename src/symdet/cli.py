@@ -20,24 +20,24 @@ import sys
 
 from .combinat import Partition, dimension_str, partitions_of
 from .exact import Poly
-from .gram import MAX_TABLE_N, determinant_classes, symmetrization_determinant
+from .gram import MAX_SYM_N, MAX_TABLE_N, determinant_classes, symmetrization_determinant
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse ``3,1,1`` or ``3,1^2`` (caret repeats a part), at most MAX_TABLE_N parts."""
+    """Parse ``3,1,1`` or ``3,1^2`` (caret repeats a part), at most MAX_SYM_N parts."""
     parts: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if "^" in chunk:
             base_s, _, count_s = chunk.partition("^")
             base, count = int(base_s), int(count_s)
-            if not 1 <= count <= MAX_TABLE_N:
-                raise ValueError(f"repeat count must be between 1 and {MAX_TABLE_N}")
+            if not 1 <= count <= MAX_SYM_N:
+                raise ValueError(f"repeat count must be between 1 and {MAX_SYM_N}")
             parts.extend([base] * count)
         else:
             parts.append(int(chunk))
-        if len(parts) > MAX_TABLE_N:
-            raise ValueError(f"more than {MAX_TABLE_N} parts")
+        if len(parts) > MAX_SYM_N:
+            raise ValueError(f"more than {MAX_SYM_N} parts")
     if not parts or any(p <= 0 for p in parts):
         raise ValueError("parts must be positive integers")
     return Partition(parts)
@@ -298,8 +298,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("need a partition of n >= 2")
 
     if args.command == "sym":
-        if args.partition.n > MAX_TABLE_N:
-            parser.error(f"beyond supported degree (n <= {MAX_TABLE_N})")
+        if args.partition.n > MAX_SYM_N:
+            parser.error(f"beyond supported degree (n <= {MAX_SYM_N})")
         return cmd_sym(args)
     if args.command == "table":
         if not 2 <= args.n <= MAX_TABLE_N:

@@ -43,12 +43,6 @@ class Partition(Value):
             raise ValueError("partition parts must be non-increasing")
         object.__setattr__(self, "parts", parts)
 
-    def __eq__(self, other):
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     def __lt__(self, other):
         return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
 

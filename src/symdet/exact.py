@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -156,12 +156,6 @@ class Poly(Value):
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         object.__setattr__(self, "coeffs", _as_fraction_tuple(coeffs))
-
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     # -- basics ------------------------------------------------------------
 
@@ -386,7 +380,7 @@ def factored_display(content: Fraction, linear: Iterable[tuple[Poly, int]], resi
 # ---------------------------------------------------------------------------
 
 
-def bareiss_det(matrix: list[list[int]]) -> int:
+def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of a symmetric positive-definite integer matrix.
 
     Fraction-free (Bareiss) elimination with no pivot search.  The
@@ -420,10 +414,6 @@ def poly_matrix_det(matrix: list[list[Poly]]) -> Poly:
     n = len(matrix)
     if n == 0:
         return Poly.const(1)
-    if n == 1:
-        return matrix[0][0]
-    if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     out = Poly()
     for j in range(n):
         if not matrix[0][j]:
@@ -454,12 +444,6 @@ class Binomials(Value):
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     @staticmethod
     def unit(k: int) -> "Binomials":

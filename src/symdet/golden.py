@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .combinat import Partition, partitions_of, patterns_of
 from .exact import Binomials, Poly, SquareClassFormula, Value
-from .gram import MAX_TABLE_N, DetClass, determinant_classes, gram_block
+from .gram import MAX_SYM_N, MAX_TABLE_N, DetClass, determinant_classes, gram_block
 from .refined import MAX_REFINED_N, refined_decomposition
 
 # A golden matrix of at most this many tableaux may list them in any
@@ -119,8 +119,8 @@ def _parse_golden(doc: dict) -> GoldenTables:
         shape_s, pat_s = key.split("|")
         shape = Partition(tuple(int(x) for x in shape_s.split(",")))
         pattern = tuple(int(x) for x in pat_s.split(","))
-        if shape.n > MAX_TABLE_N:
-            raise ValueError(f"matrix key {key!r} is beyond the limit n <= {MAX_TABLE_N}")
+        if shape.n > MAX_SYM_N:
+            raise ValueError(f"matrix key {key!r} is beyond the limit n <= {MAX_SYM_N}")
         if pattern not in patterns_of(shape):
             raise ValueError(f"matrix key {key!r} names a pattern with no tableau of its shape")
         if any(len(row) != len(mat) or any(type(x) is not int for x in row) for row in mat):

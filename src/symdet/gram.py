@@ -42,10 +42,12 @@ from .combinat import (
     patterns_of,
     ssyt_with_pattern,
 )
-from .exact import Binomials, Poly, SquareClassFormula, Value, bareiss_det
+from .exact import Binomials, SquareClassFormula, Value, bareiss_det
 
-# the largest weight of a ``table`` or ``sym`` shape and of a golden sym row or matrix
-MAX_TABLE_N = 9
+# the largest weight of a ``table`` shape and of a golden sym row, which go through determinant_classes
+MAX_TABLE_N = 16
+# the largest weight of a ``sym`` shape and of a golden matrix key, which go through gram_block
+MAX_SYM_N = 9
 
 
 class NoTableauxError(ValueError):
@@ -81,7 +83,7 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     Row 1's last f = lambda_1 - lambda_2 boxes lie in columns of length 1,
     which no element of C moves, so a_s[key] does not change when the
     letters of that free tail are reordered.  Only the keys with a sorted
-    tail are built (``row_sum_sorted_tail``), and each counts
+    tail are built (``row_sum(shape, terms, f)``), and each counts
     w(key) = f! / prod m_x! times, the number of orderings of its tail
     multiset:
 
@@ -92,25 +94,24 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     key by key, over the pairs of tableaux that hold each key, and only
     the upper triangle is summed.
 
-    Every entry is a multiple of |C|, so the determinant is
-    |C|^size times the determinant of the |C|-free matrix.  That matrix
-    is the Gram matrix of linearly independent vectors under a
+    The block is the Gram matrix of linearly independent vectors under a
     positive-definite form, so ``bareiss_det`` eliminates it with no
-    pivot search; a pivot <= 0 raises ArithmeticError naming the shape
-    and the pattern.
+    pivot search, after taking out the content of the whole block, |C|
+    included; a pivot <= 0 raises ArithmeticError naming the shape and
+    the pattern.
     """
     # imported here, on the sym-only path: determinant_classes needs no symmetrizer
-    from .symmetrizer import column_classes, free_tail, row_sum_sorted_tail, stabilizer_order
+    from .symmetrizer import column_classes, free_tail, row_sum, stabilizer_order
 
     tableaux = ssyt_with_pattern(shape, pattern)
     if not tableaux:
         raise NoTableauxError(f"no tableaux for shape {shape} pattern {pattern}")
+    free = free_tail(shape)
     holders: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # key -> [(s, a_s[key])], s ascending
     for s, t in enumerate(tableaux):
-        classes = column_classes(shape, row_sum_sorted_tail(shape, {sum(t, ()): 1}))
+        classes = column_classes(shape, row_sum(shape, {sum(t, ()): 1}, free))
         for key, c in classes.items():
             holders.setdefault(key, []).append((s, c))
-    free = free_tail(shape)
     tail = slice(shape.parts[0] - free, shape.parts[0])
     weights = {
         letters: math.factorial(free) // stabilizer_order(letters)
@@ -130,7 +131,7 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     col_order = math.prod(map(math.factorial, shape.conjugate().parts))
     matrix = tuple(tuple(col_order * v for v in row) for row in reduced)
     try:
-        det = col_order**size * bareiss_det(reduced)
+        det = bareiss_det(matrix)
     except ArithmeticError as e:
         raise ArithmeticError(f"Gram block of shape {shape} pattern {pattern}: {e}") from e
     return GramBlock(shape, pattern, matrix, det)

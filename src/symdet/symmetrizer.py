@@ -28,8 +28,9 @@ the order of their tail letters have equal class coefficients.  Hence
 
 for a, b the classes of R u and R v, with w(key) = f! / prod m_x! the
 number of distinct orderings of the key's tail multiset.
-``row_sum_sorted_tail`` lists only the sorted-tail words of R u: in row
-1 the distinct orderings of the first lambda_2 letters, the tail sorted.
+``row_sum(shape, terms, f)`` lists only the sorted-tail words of R u: in
+row 1 the distinct orderings of the first lambda_2 letters, the tail
+sorted.
 """
 
 from __future__ import annotations
@@ -126,8 +127,20 @@ def free_tail(shape: Partition) -> int:
     return shape.parts[0] - (shape.parts[1] if len(shape.parts) > 1 else 0)
 
 
-def _row_sum(shape: Partition, terms: dict[Word, Coeff], free: int) -> dict[Word, Coeff]:
-    """R*x restricted to the words whose last ``free`` letters of row 1 are sorted."""
+def row_sum(shape: Partition, terms: dict[Word, Coeff], free: int = 0) -> dict[Word, Coeff]:
+    """R*x, the row-group orbit sum, restricted to the words whose last ``free`` letters of row 1 are sorted.
+
+    Words in one row orbit have the same orbit sum, so terms are merged
+    by their row-sorted form w first.  R*w is |Stab(w)| times the sum of
+    the distinct words of its orbit (one distinct ordering of each row, in
+    every combination), where |Stab(w)| is the product of m! over the
+    letter multiplicities m of each row.  Distinct orbits share no word.
+
+    R*x and its column classes do not change when the free tail (see
+    :func:`free_tail`) is reordered, so with free = f, R*x is the
+    returned sum expanded over the distinct orderings of each word's
+    tail.  free = 0 and free = 1 give all of R*x.
+    """
     segs, _, _ = _symmetrizer_tables(shape)
     classes: dict[Word, Coeff] = {}
     for word, coeff in terms.items():
@@ -146,28 +159,6 @@ def _row_sum(shape: Partition, terms: dict[Word, Coeff], free: int) -> dict[Word
         for w in words:
             out[w] = coeff
     return out
-
-
-def row_sum(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
-    """R*x, the row-group orbit sum.
-
-    Words in one row orbit have the same orbit sum, so terms are merged
-    by their row-sorted form w first.  R*w is |Stab(w)| times the sum of
-    the distinct words of its orbit (one distinct ordering of each row, in
-    every combination), where |Stab(w)| is the product of m! over the
-    letter multiplicities m of each row.  Distinct orbits share no word.
-    """
-    return _row_sum(shape, terms, 0)
-
-
-def row_sum_sorted_tail(shape: Partition, terms: dict[Word, Coeff]) -> dict[Word, Coeff]:
-    """The terms of R*x whose free tail (see :func:`free_tail`) is sorted.
-
-    R*x is invariant under reordering the free tail, and so are its column
-    classes, so R*x is this sum expanded over the distinct orderings of
-    each word's tail.  Equals :func:`row_sum` when f <= 1.
-    """
-    return _row_sum(shape, terms, free_tail(shape))
 
 
 @lru_cache(maxsize=None)

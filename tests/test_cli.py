@@ -90,6 +90,13 @@ class TestSymCommand:
             main(["sym", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_must_be_positive(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", jobs, "sym", "2,1"])
+        assert exc.value.code == 2
+        assert "--jobs must be positive" in capsys.readouterr().err
+
     def test_latex(self, capsys):
         code, out = run(capsys, "--jobs", "1", "--format", "latex", "sym", "2,1")
         assert code == 0
@@ -115,7 +122,7 @@ class TestTableCommand:
 
     def test_beyond_supported_degree(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["table", "--n", "10"])
+            main(["table", "--n", "17"])
         assert exc.value.code == 2
 
     def test_builds_no_block(self, capsys, monkeypatch):
@@ -229,6 +236,44 @@ class TestVerifyCommand:
         assert out.count("mismatch:") == 1
         assert "refined (3,1)/(1,1): class expected (N + 2), got 2 * (N + 2)" in out
 
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (
+                lambda doc: doc["refined"].append(
+                    {"partition": [3, 1], "gamma": [], "multiplicity": 1, "class_constant": 1, "class_roots": []}
+                ),
+                "refined (3,1)/(): missing constituent",
+            ),
+            (
+                lambda doc: doc["refined"].remove(
+                    next(r for r in doc["refined"] if r["partition"] == [2, 2] and r["gamma"] == [2])
+                ),
+                "refined (2,2)/(2): unexpected constituent",
+            ),
+            (
+                lambda doc: doc["coupling_42_2"]["matrix"][0][0].__setitem__(0, -8191),
+                "refined (4,2)/(2): coupling matrix differs from the known one",
+            ),
+        ],
+        ids=["missing-constituent", "unexpected-constituent", "coupling-matrix"],
+    )
+    def test_refined_mismatch_is_named(self, capsys, tmp_path, edit, line):
+        bad = tmp_path / "golden.json"
+        bad.write_text(_edited_golden(edit))
+        code, out = run(capsys, "verify", "--scope", "refined", "--golden", str(bad))
+        assert code == 1
+        assert out.count("mismatch:") == 1
+        assert line in out
+
+    def test_dimension_mismatch_is_named(self, capsys, tmp_path):
+        bad = tmp_path / "golden.json"
+        bad.write_text(_edited_golden(lambda doc: doc["symmetrizations"][0]["dimension"].update(den=3)))
+        code, out = run(capsys, "--jobs", "1", "verify", "--scope", "sym", "--golden", str(bad))
+        assert code == 1
+        assert out.count("mismatch:") == 1
+        assert "sym (2): dimension expected N*(N+1)/3, got N*(N+1)/2" in out
+
     def test_refined_row_beyond_weight_six_is_checked(self, capsys, tmp_path):
         rows = [
             {"partition": [7], "gamma": [5], "multiplicity": 99,
@@ -251,6 +296,7 @@ class TestVerifyCommand:
             None,
             "not json {",
             '{"version": 1}',
+            _edited_golden(lambda doc: doc.update(version=2)),
             '{"version": 1, "symmetrizations": 5, "symmetrizations_stretch": [], '
             '"refined": [], "matrices": {}, "coupling_42_2": {"matrix": []}}',
             _edited_golden(lambda doc: doc["symmetrizations"][0]["dimension"].update(den=0)),
@@ -280,7 +326,8 @@ class TestVerifyCommand:
             _edited_golden(lambda doc: doc["refined"][0].update(class_constant=-1)),
             # refined accepts n <= 8, so a weight-9 row could never be checked
             _edited_golden(lambda doc: doc["refined"].append(dict(doc["refined"][0], partition=[9]))),
-            # sym goes to n <= 9, so a heavier table row or matrix key could never be checked
+            # table goes to n <= 16 and sym to n <= 9, so a heavier table row or matrix key
+            # could never be checked
             *(
                 _edited_golden(lambda doc, key=key: doc[key].append(dict(doc[key][0], partition=[6] * 5)))
                 for key in ("symmetrizations", "symmetrizations_stretch")
@@ -289,7 +336,7 @@ class TestVerifyCommand:
             _edited_golden(lambda doc: doc["matrices"].update({"4,4,4|" + ",".join("1" * 12): [[1]]})),
         ],
         ids=[
-            "missing", "not-json", "no-tables", "wrong-structure",
+            "missing", "not-json", "no-tables", "wrong-version", "wrong-structure",
             "zero-den", "uncertifiable-constant", "uncertifiable-base",
             "undominated-pattern", "pattern-off-weight", "zero-part-pattern",
             "ragged-matrix", "ragged-coupling",
@@ -375,6 +422,9 @@ class TestPinnedOutput:
              "5acf04851ab701ba1b50ff42b651dd21e30a0d813296a9676e7a1bc1bbbbae55"),
             (("--format", "latex", "table", "--n", "9"),
              "3d8decadf6b5071140c045531e07c332ac6feaacfc29c1c5775721720c09857d"),
+            # the widest table
+            (("--format", "json", "table", "--n", "16"),
+             "eae15351fc5a13fca114989e18dfcf019ad874028ba17358059b2e826190c6a4"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

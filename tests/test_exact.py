@@ -445,6 +445,9 @@ class TestLinearAlgebra:
         n = Poly((0, 1))
         m = [[n, Poly.const(1)], [Poly.const(1), n]]
         assert poly_matrix_det(m) == n * n - 1
+        assert poly_matrix_det([[n]]) == n
+        assert poly_matrix_det([[Poly()]]) == Poly()
+        assert poly_matrix_det([]) == Poly.const(1)
 
 
 def _fraction_det(rows):

@@ -88,13 +88,24 @@ def _jantzen_class(parts: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def test_determinant_classes_match_jantzen_to_weight_twelve():
-    shapes = [s for n in range(2, 13) for s in partitions_of(n)]
-    assert len(shapes) == 270
+def _assert_classes_match_jantzen(shapes):
     for shape, result in zip(shapes, determinant_classes(shapes)):
         factors = result.c_reduced.factors
         got = {p: tuple(c % 2 for c in e.coeffs) for p, e in factors.items()}
         assert got == _jantzen_class(shape.parts), shape
+
+
+def test_determinant_classes_match_jantzen_to_weight_twelve():
+    shapes = [s for n in range(2, 13) for s in partitions_of(n)]
+    assert len(shapes) == 270
+    _assert_classes_match_jantzen(shapes)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(13, 17))
+def test_determinant_classes_match_jantzen_at_table_weights_above_twelve(n):
+    # table accepts n <= 16, so every weight it prints has this guard
+    _assert_classes_match_jantzen(partitions_of(n))
 
 
 def _weight_multiplicity(nu: list[int], pattern: tuple[int, ...]) -> int:

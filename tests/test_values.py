@@ -52,6 +52,11 @@ def test_only_normalizing_classes_define_a_constructor():
     assert own == {Partition, Poly, Binomials, SquareClassFormula}
 
 
+def test_equality_and_hash_are_values_alone():
+    # every class compares and hashes as Value does: same class, equal field tuples
+    assert not [cls for cls in map(type, VALUES) if {"__eq__", "__hash__"} & set(vars(cls))]
+
+
 def test_wrong_field_count_names_the_class_and_its_fields():
     with pytest.raises(TypeError, match=r"GramBlock .*\(shape, pattern, matrix, det\)"):
         GramBlock(P((2, 1)), (1, 1, 1), ())
