@@ -20,7 +20,7 @@ import sys
 
 from .combinat import Partition, dimension_str, partitions_of
 from .exact import Poly
-from .gram import MAX_SYM_N, MAX_TABLE_N, determinant_classes, symmetrization_determinant
+from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, determinant_classes, symmetrization_determinant
 
 
 def parse_partition(text: str) -> Partition:
@@ -306,12 +306,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"beyond supported degree (2 <= n <= {MAX_TABLE_N})")
         return cmd_table(args)
     if args.command == "refined":
-        from .refined import MAX_REFINED_N
-
         if args.partition.n > MAX_REFINED_N:
-            parser.error(
-                f"refined decomposition unsupported for n > {MAX_REFINED_N}"
-            )
+            parser.error(f"refined decomposition unsupported for n > {MAX_REFINED_N}")
         return cmd_refined(args)
     if args.command == "verify":
         from .golden import load_golden

@@ -287,7 +287,9 @@ def poly_factor_rational(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Pol
     of that polynomial, and every quotient's coefficients divide them
     too, so one pass over those candidates finds every root; each is
     tested as sum a_i r^i q^(d-i) == 0 and divided out exactly (Gauss's
-    lemma keeps the quotient integral with coprime coefficients).
+    lemma keeps the quotient integral with coprime coefficients).  The
+    divisors come from ``factorint``, so a coefficient it cannot factor
+    raises ArithmeticError.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
@@ -298,10 +300,8 @@ def poly_factor_rational(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]], Pol
     if zeros:
         ints = ints[zeros:]
         factors.append((POLY_N, zeros))
-    numerators = sorted(_divisors(abs(ints[0])))
-    candidates = [
-        (r, q) for q in sorted(_divisors(ints[-1])) for r in numerators if math.gcd(r, q) == 1
-    ]
+    numerators = _divisors(abs(ints[0]))
+    candidates = [(r, q) for q in _divisors(ints[-1]) for r in numerators if math.gcd(r, q) == 1]
     for r, q in candidates:
         for root in (r, -r):
             mult = 0
@@ -335,15 +335,11 @@ def _deflate(ints: list[int], r: int, q: int) -> list[int]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
+    """The divisors of n > 0 in ascending order: the products of ``factorint(n)``'s prime powers."""
+    out = [1]
+    for p, e in factorint(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def factored_display(content: Fraction, linear: Iterable[tuple[Poly, int]], residual: Poly) -> str:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .combinat import Partition, partitions_of, patterns_of
 from .exact import Binomials, Poly, SquareClassFormula, Value
-from .gram import MAX_SYM_N, MAX_TABLE_N, DetClass, determinant_classes, gram_block
-from .refined import MAX_REFINED_N, refined_decomposition
+from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, DetClass, determinant_classes, gram_block
+from .refined import refined_decomposition
 
 # A golden matrix of at most this many tableaux may list them in any
 # order; a larger one must use the lexicographic row-major order.

@@ -48,6 +48,8 @@ from .exact import Binomials, SquareClassFormula, Value, bareiss_det
 MAX_TABLE_N = 16
 # the largest weight of a ``sym`` shape and of a golden matrix key, which go through gram_block
 MAX_SYM_N = 9
+# the largest weight of a ``refined`` shape and a golden refined row, which go through refined_decomposition
+MAX_REFINED_N = 8
 
 
 class NoTableauxError(ValueError):
@@ -87,12 +89,13 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     w(key) = f! / prod m_x! times, the number of orderings of its tail
     multiset:
 
-        entry(s,t) = |C| * sum_key a_s[key] * a_t[key] * w(key).
+        entry(s,t) = sum_key a_s[key] * a_t[key] * |C| * w(key).
 
     The block is the sparse product A W A^T of the class coefficients
-    A[s][key] = a_s[key] and the diagonal weights W: it is accumulated
-    key by key, over the pairs of tableaux that hold each key, and only
-    the upper triangle is summed.
+    A[s][key] = a_s[key] and the diagonal weights W = |C| * w, integers
+    as prod m_x! divides f!: it is accumulated key by key, over the
+    pairs of tableaux that hold each key, and only the upper triangle is
+    summed.
 
     The block is the Gram matrix of linearly independent vectors under a
     positive-definite form, so ``bareiss_det`` eliminates it with no
@@ -113,23 +116,23 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
         for key, c in classes.items():
             holders.setdefault(key, []).append((s, c))
     tail = slice(shape.parts[0] - free, shape.parts[0])
+    col_order = math.prod(map(math.factorial, shape.conjugate().parts))  # |C|
     weights = {
-        letters: math.factorial(free) // stabilizer_order(letters)
+        letters: col_order * math.factorial(free) // stabilizer_order(letters)
         for letters in {key[tail] for key in holders}
     }
     size = len(tableaux)
-    reduced = [[0] * size for _ in range(size)]
+    rows = [[0] * size for _ in range(size)]
     for key, held in holders.items():
         w = weights[key[tail]]
         for x, (s, c) in enumerate(held):
-            row, wc = reduced[s], w * c
+            row, wc = rows[s], w * c
             for t, d in held[x:]:
                 row[t] += wc * d
     for i in range(size):
         for j in range(i):
-            reduced[i][j] = reduced[j][i]
-    col_order = math.prod(map(math.factorial, shape.conjugate().parts))
-    matrix = tuple(tuple(col_order * v for v in row) for row in reduced)
+            rows[i][j] = rows[j][i]
+    matrix = tuple(map(tuple, rows))
     try:
         det = bareiss_det(matrix)
     except ArithmeticError as e:

@@ -30,13 +30,11 @@ from functools import lru_cache
 
 from .combinat import Partition, detb_exponent, littlewood_multiplicity, partitions_of
 from .exact import Binomials, Poly, SquareClassFormula, Value, poly_matrix_det
-from .gram import determinant_classes
+from .gram import MAX_REFINED_N, determinant_classes
 from .symmetrizer import column_sum, row_sum, symmetrize
 
 Word = tuple[int, ...]
 Chain = tuple[tuple[int, int], ...]
-
-MAX_REFINED_N = 8
 
 
 class ConcreteTensor(Value):
@@ -58,7 +56,7 @@ class ConcreteTensor(Value):
 
     def norm(self) -> Fraction:
         """Inner product with itself in the orthonormal model."""
-        return sum((c * c for c in self.terms.values()), Fraction(0))
+        return self.dot(self)
 
     def dot(self, other: "ConcreteTensor") -> Fraction:
         a, b = self.terms, other.terms
@@ -76,20 +74,7 @@ def phi_insert(t: ConcreteTensor, i: int, j: int) -> ConcreteTensor:
     Positions are 1-based and refer to the new degree t.degree + 2; the
     original factors keep their order in the remaining slots.
     """
-    n2 = t.degree + 2
-    if not (1 <= i < j <= n2):
-        raise ValueError("insertion positions out of range")
-    out = ConcreteTensor(n2, t.dim, {})
-    slots = [p for p in range(n2) if p not in (i - 1, j - 1)]
-    for word, coeff in t.terms.items():
-        template = [0] * n2
-        for p, letter in zip(slots, word):
-            template[p] = letter
-        for k in range(1, t.dim + 1):
-            template[i - 1] = k
-            template[j - 1] = k
-            out.add(tuple(template), coeff)
-    return out
+    return embed_chain(((i, j),), t, t.degree + 2)
 
 
 def pi_contract(t: ConcreteTensor, i: int, j: int) -> ConcreteTensor:

@@ -103,8 +103,6 @@ def _orderings(row: Word, k: int) -> tuple[Word, ...]:
     """
     if not k:
         return (row,)
-    if k >= len(row) - 1 and len(set(row)) == len(row):
-        return tuple(itertools.permutations(row))
     return tuple(
         (x,) + tail
         for i, x in enumerate(row)

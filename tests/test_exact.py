@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symdet.exact import (
+    _divisors,
     Binomials,
     Poly,
     SquareClassFormula,
@@ -164,6 +165,16 @@ class TestPolyFactorRational:
         assert content == 1
         assert [(tuple(f.coeffs), m) for f, m in linear] == [((-1, 1), 1), ((1, 1), 1)]
         assert residual == Poly.const(1)
+
+    def test_divisors_match_a_sieve(self):
+        # the rational-root candidates; 5040 = 7! is the largest argument of any refined command with n <= 8
+        top = 10_000
+        sieve = [[] for _ in range(top + 1)]
+        for d in range(1, top + 1):
+            for multiple in range(d, top + 1, d):
+                sieve[multiple].append(d)
+        for n in range(1, top + 1):
+            assert _divisors(n) == sieve[n], n
 
     def test_content_extraction(self):
         content, linear, residual = poly_factor_rational(Poly((-12, 0, 12)))

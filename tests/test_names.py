@@ -1,10 +1,12 @@
-"""Every global name that a function, class body or comprehension reads is bound, and every import is read.
+"""Every global name that a function, class body or comprehension reads is bound, every import is read,
+and every top-level function and class of the package is read.
 
 ``python -m compileall`` accepts a read of a module-level name that is never
 imported or defined, and the slip shows only when that line runs.  The
 symbol tables of each source file name every such read without running it.
-An import that nothing reads is dead weight on every start-up; the syntax
-tree of each source file names it.
+An import that nothing reads is dead weight on every start-up, and so is a
+function or class that no code reads; the syntax tree of each source file
+names both.
 """
 
 import ast
@@ -87,3 +89,62 @@ def test_every_import_is_read():
         if (found := _unused_imports(path.read_text(), str(path)))
     }
     assert not unused, unused
+
+
+def _reads(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of each name or attribute loaded, and of each name imported from a module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out.extend((alias.name, node.lineno) for alias in node.names)
+    return out
+
+
+def _unread_definitions(sources: dict[str, str]) -> list[str]:
+    """``path: name`` of each top-level function or class in src/symdet that nothing reads outside its body.
+
+    ``sources`` maps each path, relative to the repository root, to its text.
+    A dunder such as a module's ``__getattr__`` is read by the interpreter.
+    """
+    trees = {path: ast.parse(text, path) for path, text in sources.items()}
+    reads = {path: _reads(tree) for path, tree in trees.items()}
+    unread = []
+    for path, tree in trees.items():
+        if not path.startswith("src/symdet/"):
+            continue
+        for node in tree.body:
+            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if not defines or node.name.startswith("__"):
+                continue
+            body = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and (other != path or line not in body)
+                for other, found in reads.items()
+                for name, line in found
+            ):
+                unread.append(f"{path}: {node.name}")
+    return unread
+
+
+def test_every_definition_is_read():
+    slip = {
+        "src/symdet/m.py": (
+            "def used():\n    return 1\n\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n"
+            "class Dead:\n    def used(self):\n        return self.used\n"
+        ),
+        "tests/t.py": "from symdet.m import recursive as r\n\nr(2)\n",
+        "scripts/s.py": "import symdet.m\n\nsymdet.m.Dead = None\n",
+    }
+    assert _unread_definitions(slip) == ["src/symdet/m.py: Dead"]
+    slip["tests/t.py"] = "import symdet.m\n\nsymdet.m.recursive(2)\n"
+    assert _unread_definitions(slip) == ["src/symdet/m.py: Dead"]
+    del slip["tests/t.py"]
+    assert _unread_definitions(slip) == ["src/symdet/m.py: recursive", "src/symdet/m.py: Dead"]
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in SOURCES}
+    assert sum(path.startswith("src/symdet/") for path in sources) > 5
+    assert not _unread_definitions(sources)

@@ -105,8 +105,10 @@ class TestRoundTripAndIsometry:
 class TestEmbedChain:
     def test_single_pair_equals_phi(self):
         t = _tensor(2, 3, {(1, 2): 2, (2, 1): -1})
-        assert embed_chain(((1, 2),), t, 4).terms == phi_insert(t, 1, 2).terms
-        assert embed_chain(((2, 4),), t, 4).terms == phi_insert(t, 2, 4).terms
+        front = {w: c for k in (1, 2, 3) for w, c in (((k, k, 1, 2), 2), ((k, k, 2, 1), -1))}
+        spread = {w: c for k in (1, 2, 3) for w, c in (((1, k, 2, k), 2), ((2, k, 1, k), -1))}
+        assert embed_chain(((1, 2),), t, 4).terms == phi_insert(t, 1, 2).terms == front
+        assert embed_chain(((2, 4),), t, 4).terms == phi_insert(t, 2, 4).terms == spread
 
     def test_two_pairs(self):
         t = _tensor(0, 2, {(): 1})

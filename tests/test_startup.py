@@ -63,6 +63,20 @@ class TestCommandImports:
         )
         assert proc.stdout == "[]\n"
 
+    def test_refined_limit_is_checked_before_the_refined_layer_loads(self):
+        # _probe reports after main returns; a usage error leaves main by SystemExit instead
+        probe = (
+            "import sys\nfrom symdet.cli import main\n"
+            "try:\n    main(['refined', '9'])\n"
+            "except SystemExit as exc:\n    print(exc.code, 'symdet.refined' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert proc.stdout == "2 False\n"
+        assert "refined decomposition unsupported for n > 8" in proc.stderr
+
     def test_refined_loads_no_golden(self):
         result = _probe("refined", "2,1")
         assert result["code"] == 0

@@ -12,6 +12,7 @@ from symdet.combinat import (
     standard_tableau_count,
 )
 from symdet.symmetrizer import (
+    _orderings,
     column_classes,
     column_sum,
     free_tail,
@@ -257,6 +258,16 @@ def test_sorted_tail_classes_expand_to_all_classes(shape, data):
             count += 1
     assert count == len(expanded)
     assert expanded == column_classes(shape, row_sum(shape, terms))
+
+
+def test_orderings_are_the_distinct_permutations_with_a_sorted_tail():
+    # every sorted row of up to 6 letters over {1,2,3,4}, with and without repeats
+    for length in range(7):
+        for row in itertools.combinations_with_replacement(range(1, 5), length):
+            perms = list(itertools.permutations(row))
+            for k in range(length + 1):
+                expected = sorted({p[:k] + tuple(sorted(p[k:])) for p in perms})
+                assert _orderings(row, k) == tuple(expected), (row, k)
 
 
 TALL = [p for p in SHAPES if len(p.parts) > 1]
