@@ -92,27 +92,20 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 def compositions_of(n: int) -> tuple[Pattern, ...]:
     """All compositions of n, grouped by length k = 1..n.
 
-    Within a length the order is lexicographically decreasing, so the
+    A composition of length k is read off its k - 1 cut points in
+    1..n-1.  Within a length the cut points are taken in decreasing
+    order, so the compositions are lexicographically decreasing and the
     whole listing is deterministic.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return ((),)
-    out: list[Pattern] = []
-    for k in range(1, n + 1):
-        out.extend(_compositions_length(n, k))
-    return tuple(out)
-
-
-def _compositions_length(n: int, k: int) -> list[Pattern]:
-    if k == 1:
-        return [(n,)]
-    out = []
-    for first in range(n - k + 1, 0, -1):
-        for rest in _compositions_length(n - first, k - 1):
-            out.append((first,) + rest)
-    return out
+    return tuple(
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+        for k in range(1, n + 1)
+        for cuts in reversed(list(itertools.combinations(range(1, n), k - 1)))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -164,9 +157,8 @@ def ssyt_with_pattern(shape: Partition, pattern: Pattern) -> tuple[tuple[tuple[i
 
 
 def patterns_of(shape: Partition) -> list[Pattern]:
-    """Patterns with at least one tableau, in the order of :func:`compositions_of`."""
-    table = _tableaux_by_pattern(shape)
-    return [p for p in compositions_of(shape.n) if p in table]
+    """The keys of :func:`_tableaux_by_pattern`, in the order of :func:`compositions_of`."""
+    return sorted(_tableaux_by_pattern(shape), key=lambda p: (len(p), [-x for x in p]))
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -273,7 +265,7 @@ def standard_tableau_count(shape: Partition) -> int:
 def enumerate_ssyt(shape: Partition, max_letter: int) -> list[tuple[tuple[int, ...], ...]]:
     """Direct enumeration of all SSYT with entries in 1..max_letter."""
     out = []
-    for pattern in compositions_of(shape.n):
+    for pattern in patterns_of(shape):
         k = len(pattern)
         if k > max_letter:
             continue

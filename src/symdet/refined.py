@@ -175,18 +175,16 @@ def constituent_gram(
 # ---------------------------------------------------------------------------
 
 
-def _aligned_pairs(n: int) -> list[tuple[int, int]]:
-    return [(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)]
-
-
 def chain_pool(n: int, j: int) -> list[Chain]:
-    """Candidate chains of j disjoint pairs, in scan order.
+    """Candidate chains of j disjoint pairs, in scan order, one per pair set.
 
     First the structured pool: the first pair is (1,2), and each deeper
     level offers the remaining aligned pairs plus the smallest
     non-aligned disjoint pair.  Then every other chain, lexicographically.
+    A chain whose pairs an earlier chain holds in another order only
+    renumbers that chain's dummies, so it is left out.
     """
-    aligned = _aligned_pairs(n)
+    aligned = [(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)]
 
     def extend(prefix: list[tuple[int, int]], used: set[int]) -> list[Chain]:
         if len(prefix) == j:
@@ -198,9 +196,10 @@ def chain_pool(n: int, j: int) -> list[Chain]:
                 break
         return [c for p in options for c in extend(prefix + [p], used | set(p))]
 
-    structured = extend([(1, 2)], {1, 2})
-    seen = set(structured)
-    return structured + [c for c in all_disjoint_chains(n, j) if c not in seen]
+    pool: dict[frozenset[tuple[int, int]], Chain] = {}
+    for c in extend([(1, 2)], {1, 2}) + all_disjoint_chains(n, j):
+        pool.setdefault(frozenset(c), c)
+    return list(pool.values())
 
 
 def all_disjoint_chains(n: int, j: int) -> list[Chain]:

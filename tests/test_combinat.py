@@ -62,6 +62,19 @@ class TestCompositions:
         lengths = [len(c) for c in compositions_of(5)]
         assert lengths == sorted(lengths)
 
+    def test_matches_brute_force(self):
+        def split(m):  # every positive tuple summing to m, first part first
+            yield (m,)
+            for first in range(1, m):
+                for rest in split(m - first):
+                    yield (first,) + rest
+
+        for n in range(1, 13):
+            # decreasing, then stably by length: grouped by length, decreasing within one
+            expected = sorted(sorted(split(n), reverse=True), key=len)
+            assert len(expected) == 2 ** (n - 1)
+            assert compositions_of(n) == tuple(expected), n
+
 
 class TestSSYT:
     def test_distinct_letters_two_tableaux(self):

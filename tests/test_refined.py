@@ -139,6 +139,32 @@ class TestChainPools:
         assert pool[0] == ((1, 2), (3, 4))
         assert ((1, 2), (5, 6)) in pool
 
+    def test_pool_lists_each_pair_set_once(self):
+        # C(n, 2j) choices of the paired positions times (2j-1)!! matchings of them
+        for n in range(2, 10):
+            for j in range(1, n // 2 + 1):
+                pool = chain_pool(n, j)
+                assert len(pool) == math.comb(n, 2 * j) * math.prod(range(1, 2 * j, 2)), (n, j)
+                assert len(set(map(frozenset, pool))) == len(pool), (n, j)
+
+    def test_structured_prefix_keeps_its_order(self):
+        # the structured chains come first, unsorted ones included; the later
+        # orderings of ((1,2),(7,8),(3,5),(4,6)) are gone, so the lexicographic tail follows
+        assert chain_pool(7, 3)[:5] == [
+            ((1, 2), (3, 4), (5, 6)),
+            ((1, 2), (3, 4), (5, 7)),
+            ((1, 2), (5, 6), (3, 7)),
+            ((1, 2), (3, 5), (4, 6)),
+            ((1, 2), (3, 4), (6, 7)),
+        ]
+        assert chain_pool(8, 4)[:5] == [
+            ((1, 2), (3, 4), (5, 6), (7, 8)),
+            ((1, 2), (3, 4), (5, 7), (6, 8)),
+            ((1, 2), (5, 6), (3, 7), (4, 8)),
+            ((1, 2), (7, 8), (3, 5), (4, 6)),
+            ((1, 2), (3, 4), (5, 8), (6, 7)),
+        ]
+
     def test_pool_pairs_disjoint(self):
         for n, j in ((4, 2), (6, 2), (6, 3), (7, 3)):
             for chain in chain_pool(n, j):
