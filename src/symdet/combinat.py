@@ -88,7 +88,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in gen(n, n, ()))
 
 
-@lru_cache(maxsize=None)
 def compositions_of(n: int) -> tuple[Pattern, ...]:
     """All compositions of n, grouped by length k = 1..n.
 
@@ -255,7 +254,6 @@ def detb_exponent(shape: Partition) -> Poly:
     return Poly(shape.n * c for c in dimension_poly(shape).coeffs[1:])
 
 
-@lru_cache(maxsize=None)
 def standard_tableau_count(shape: Partition) -> int:
     """Number of standard fillings, by the hook length formula."""
     hooks = math.prod(hook for _, hook in _content_and_hook(shape))

@@ -180,45 +180,26 @@ def chain_pool(n: int, j: int) -> list[Chain]:
 
     First the structured pool: the first pair is (1,2), and each deeper
     level offers the remaining aligned pairs plus the smallest
-    non-aligned disjoint pair.  Then every other chain, lexicographically.
-    A chain whose pairs an earlier chain holds in another order only
-    renumbers that chain's dummies, so it is left out.
+    non-aligned disjoint pair.  Then every other chain: the disjoint
+    j-subsets of the lexicographic pair list, in their own
+    lexicographic order.  A chain whose pairs an earlier chain holds in
+    another order only renumbers that chain's dummies, so it is left out.
     """
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
     aligned = [(2 * i - 1, 2 * i) for i in range(1, n // 2 + 1)]
 
     def extend(prefix: list[tuple[int, int]], used: set[int]) -> list[Chain]:
         if len(prefix) == j:
             return [tuple(prefix)]
         options = [p for p in aligned if p > prefix[-1] and not used & set(p)]
-        for p in itertools.combinations(range(1, n + 1), 2):
-            if p not in aligned and not used & set(p):
-                options.append(p)
-                break
+        options += itertools.islice((p for p in pairs if p not in aligned and not used & set(p)), 1)
         return [c for p in options for c in extend(prefix + [p], used | set(p))]
 
+    disjoint = (c for c in itertools.combinations(pairs, j) if len(set(sum(c, ()))) == 2 * j)
     pool: dict[frozenset[tuple[int, int]], Chain] = {}
-    for c in extend([(1, 2)], {1, 2}) + all_disjoint_chains(n, j):
+    for c in itertools.chain(extend([(1, 2)], {1, 2}), disjoint):
         pool.setdefault(frozenset(c), c)
     return list(pool.values())
-
-
-def all_disjoint_chains(n: int, j: int) -> list[Chain]:
-    """Every chain of j disjoint ordered pairs, lexicographically."""
-    out: list[Chain] = []
-
-    def rec(prefix: list[tuple[int, int]], used: set[int]) -> None:
-        if len(prefix) == j:
-            out.append(tuple(prefix))
-            return
-        for i, jj in itertools.combinations(range(1, n + 1), 2):
-            if i in used or jj in used:
-                continue
-            if prefix and (i, jj) <= prefix[-1]:
-                continue
-            rec(prefix + [(i, jj)], used | {i, jj})
-
-    rec([], set())
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,11 @@ class TestPartitionParsing:
         with pytest.raises(ValueError, match="more than 9 parts"):
             parse_partition(",".join(["1^9"] * 200_000 + ["x"]))
 
+    def test_part_count_limit_is_exact(self):
+        assert parse_partition("1^9") == Partition((1,) * 9)
+        with pytest.raises(ValueError, match="more than 9 parts"):
+            parse_partition("1^9,1")
+
 
 class TestSymCommand:
     def test_text_contains_reduced_class(self, capsys):
@@ -332,6 +337,9 @@ class TestVerifyCommand:
                 _edited_golden(lambda doc, key=key: doc[key].append(dict(doc[key][0], partition=[6] * 5)))
                 for key in ("symmetrizations", "symmetrizations_stretch")
             ),
+            _edited_golden(lambda doc: doc["symmetrizations"].append(
+                dict(doc["symmetrizations"][0], partition=[9, 8])
+            )),
             _edited_golden(lambda doc: doc["matrices"].update({"10|10": [[1]]})),
             _edited_golden(lambda doc: doc["matrices"].update({"4,4,4|" + ",".join("1" * 12): [[1]]})),
         ],
@@ -344,7 +352,7 @@ class TestVerifyCommand:
             "float-constant", "bool-constant", "float-multiplicity", "float-root", "bool-den",
             "string-partition", "float-gamma-part", "bool-partition-part",
             "string-coupling-coefficient", "negative-constant", "refined-row-beyond-limit",
-            "table-row-beyond-limit", "stretch-row-beyond-limit",
+            "table-row-beyond-limit", "stretch-row-beyond-limit", "table-row-one-past-limit",
             "matrix-key-beyond-limit", "matrix-key-weight-twelve",
         ],
     )

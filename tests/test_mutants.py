@@ -1,0 +1,79 @@
+"""Each oracle and input bound can fail: one-line mutants of ``src/`` and the test that catches each.
+
+A case copies ``src/`` to a temporary directory, applies its one
+replacement there (the old text must occur exactly once), and runs its
+test node in a fresh interpreter that imports the copy.  The case passes
+when that node fails.  The working tree is never edited.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+pytestmark = pytest.mark.slow
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = [
+    # (file under src/symdet, old text, new text, test node that must fail)
+    (
+        "golden.py",
+        "if shape.n > MAX_TABLE_N:",
+        "if shape.n > MAX_TABLE_N + 1:",
+        "tests/test_cli.py::TestVerifyCommand::test_unreadable_golden_is_a_usage_error"
+        "[table-row-one-past-limit]",
+    ),
+    (
+        "cli.py",
+        "if len(parts) > MAX_SYM_N:",
+        "if len(parts) > MAX_SYM_N + 1:",
+        "tests/test_cli.py::TestPartitionParsing::test_part_count_limit_is_exact",
+    ),
+    (
+        "golden.py",
+        "def _matrix_matches_up_to_order(got, expected) -> bool:\n",
+        "def _matrix_matches_up_to_order(got, expected) -> bool:\n    return True\n",
+        "tests/test_cli.py::TestVerifyCommand::test_wrong_entry_in_a_large_block_fails_fast",
+    ),
+    (
+        "exact.py",
+        "_TRIAL_BOUND = 100_000",
+        "_TRIAL_BOUND = 1_000",
+        "tests/test_exact.py::TestSquarefreePart::test_square_of_the_largest_trial_prime",
+    ),
+    (
+        "golden.py",
+        "if shape.n > MAX_REFINED_N:",
+        "if shape.n > MAX_REFINED_N + 1:",
+        "tests/test_cli.py::TestVerifyCommand::test_unreadable_golden_is_a_usage_error"
+        "[refined-row-beyond-limit]",
+    ),
+    (
+        "golden.py",
+        "if shape.n > MAX_SYM_N:",
+        "if shape.n > MAX_SYM_N + 1:",
+        "tests/test_cli.py::TestVerifyCommand::test_unreadable_golden_is_a_usage_error"
+        "[matrix-key-beyond-limit]",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, old, new, node", MUTANTS, ids=[m[3].split("::", 1)[1] for m in MUTANTS])
+def test_mutant_is_caught(tmp_path, name, old, new, node):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "symdet" / name
+    text = path.read_text()
+    assert text.count(old) == 1, (name, old)
+    path.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    # exit code 1 with "1 failed": the node was collected, ran and failed
+    assert result.returncode == 1 and "1 failed" in result.stdout, result.stdout + result.stderr
