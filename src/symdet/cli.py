@@ -5,6 +5,9 @@ up to a weight, ``refined`` for the orthogonal-group decomposition and
 ``verify`` to diff the engine against the embedded reference tables.
 Every command accepts ``--format text|json|latex`` (``verify`` prints
 text whatever the format); output is deterministic for an invocation.
+This module is the only output layer: ``sym``, ``table`` and ``refined``
+each build one JSON payload and return it with its text and LaTeX
+renderings, and :func:`main` prints the one that ``--format`` picks.
 
 A command imports only the engine modules it runs: ``table`` needs
 :mod:`symdet.gram` alone, ``sym`` adds the symmetrizer, and the refined
@@ -19,7 +22,7 @@ import json
 import sys
 
 from .combinat import Partition, dimension_str, partitions_of
-from .exact import Poly
+from .exact import Poly, SquareClassFormula
 from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, determinant_classes, symmetrization_determinant
 
 
@@ -43,142 +46,126 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def _poly_json(p: Poly) -> dict:
+def _poly_json(p: Poly, display: str | None = None) -> dict:
+    """Coefficients and display of ``p``; ``display`` stands in for ``p.factored_str()``."""
     return {
         "coeffs": [str(c) for c in p.coeffs],
-        "display": p.factored_str(),
+        "display": p.factored_str() if display is None else display,
     }
 
 
-def _dimension_json(shape: Partition, dimension: Poly) -> dict:
-    """``_poly_json(dimension_poly(shape))``, its display read off the hook contents."""
+def _class_json(f: SquareClassFormula) -> dict:
+    """A square-class formula, each exponent as its ``{k: coeff}`` of C(N,k)."""
     return {
-        "coeffs": [str(c) for c in dimension.coeffs],
-        "display": dimension_str(shape),
+        "factors": [
+            {"base": str(b), "exponent_binomials": {str(k): str(a) for k, a in enumerate(e.coeffs) if a}}
+            for b, e in f.factors.items()
+        ],
+        "detB_exponent": str(f.detB_exponent),
+        "display": f.render_text(),
+        "unreduced": False,  # fixed schema field: every factor is a prime or linear
     }
 
 
-# ---------------------------------------------------------------------------
-# sym
-# ---------------------------------------------------------------------------
+# Each of sym, table and refined returns (payload, text, latex): the JSON
+# payload and two closures that render the text and LaTeX outputs.
 
 
-def _sym_payload(shape: Partition, jobs: int) -> dict:
-    result = symmetrization_determinant(shape, jobs=jobs)
-    blocks = []
-    for pattern, block in result.blocks.items():
-        blocks.append({
-            "pattern": list(pattern),
-            "distinct_letters": block.k,
-            "size": block.size,
-            "matrix": [list(row) for row in block.matrix],
-            "det": str(block.det),
-        })
+def cmd_sym(args: argparse.Namespace) -> tuple:
+    shape = args.partition
+    result = symmetrization_determinant(shape, jobs=args.jobs)
     reduced = result.c_formula.reduced()
-    return {
+    payload = {
         "partition": list(shape.parts),
         "n": shape.n,
-        "dimension": _dimension_json(shape, result.dimension),
-        "blocks": blocks,
-        "c_exact": result.c_formula.to_json(),
-        "c_reduced": {**reduced.to_json(), "latex": reduced.render_latex()},
+        "dimension": _poly_json(result.dimension, dimension_str(shape)),
+        "blocks": [
+            {
+                "pattern": list(pattern),
+                "distinct_letters": block.k,
+                "size": block.size,
+                "matrix": [list(row) for row in block.matrix],
+                "det": str(block.det),
+            }
+            for pattern, block in result.blocks.items()
+        ],
+        "c_exact": _class_json(result.c_formula),
+        "c_reduced": {**_class_json(reduced), "latex": reduced.render_latex()},
         "detB_exponent": str(result.detB_exponent),
     }
+    dimension, c = payload["dimension"]["display"], payload["c_reduced"]
+
+    def text() -> str:
+        lines = [
+            f"partition: {shape}   n = {shape.n}",
+            f"dimension = {dimension}",
+            "blocks (pattern, multiplicity C(N,k), matrix, det):",
+        ]
+        for b in payload["blocks"]:
+            pat = ",".join(map(str, b["pattern"]))
+            lines.append(f"  ({pat})  C(N,{b['distinct_letters']})  det {b['det']}")
+            lines += ["    [" + " ".join(f"{v:>6}" for v in row) + "]" for row in b["matrix"]]
+        lines.append(f"c (exact) = {payload['c_exact']['display']}")
+        lines.append(f"c = {c['display']}")
+        lines.append(f"det = {c['display']} * det(B)^({payload['detB_exponent']})")
+        return "\n".join(lines)
+
+    def latex() -> str:
+        return (
+            "\\begin{tabular}{ccc}\n"
+            "$\\lambda$ & $d(\\lambda)$ & $c(\\lambda)$\\\\\n"
+            f"${shape}$ & ${dimension}$ & ${c['latex']}$\\\\\n"
+            "\\end{tabular}"
+        )
+
+    return payload, text, latex
 
 
-def _render_sym_text(payload: dict) -> str:
-    lines = [
-        f"partition: ({','.join(map(str, payload['partition']))})   n = {payload['n']}",
-        f"dimension = {payload['dimension']['display']}",
-        "blocks (pattern, multiplicity C(N,k), matrix, det):",
-    ]
-    for b in payload["blocks"]:
-        pat = ",".join(map(str, b["pattern"]))
-        lines.append(f"  ({pat})  C(N,{b['distinct_letters']})  det {b['det']}")
-        for row in b["matrix"]:
-            lines.append("    [" + " ".join(f"{v:>6}" for v in row) + "]")
-    lines.append(f"c (exact) = {payload['c_exact']['display']}")
-    lines.append(f"c = {payload['c_reduced']['display']}")
-    lines.append(f"det = {payload['c_reduced']['display']} * det(B)^({payload['detB_exponent']})")
-    return "\n".join(lines)
-
-
-def _render_sym_latex(payload: dict) -> str:
-    part = ",".join(map(str, payload["partition"]))
-    return (
-        "\\begin{tabular}{ccc}\n"
-        "$\\lambda$ & $d(\\lambda)$ & $c(\\lambda)$\\\\\n"
-        f"$({part})$ & ${payload['dimension']['display']}$ & "
-        f"${payload['c_reduced']['latex']}$\\\\\n"
-        "\\end{tabular}"
-    )
-
-
-def cmd_sym(args: argparse.Namespace) -> int:
-    payload = _sym_payload(args.partition, args.jobs)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "latex":
-        print(_render_sym_latex(payload))
-    else:
-        print(_render_sym_text(payload))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# table
-# ---------------------------------------------------------------------------
-
-
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple:
     shapes = [shape for n in range(2, args.n + 1) for shape in partitions_of(n)]
     results = determinant_classes(shapes)
-    if args.format == "json":
-        rows = [
-            {
-                "n": r.shape.n,
-                "partition": list(r.shape.parts),
-                "dimension": _dimension_json(r.shape, r.dimension),
-                "c_reduced": r.c_reduced.to_json(),
-            }
-            for r in results
-        ]
-        print(json.dumps(rows, indent=2))
-    elif args.format == "latex":
+    payload = [
+        {
+            "n": r.shape.n,
+            "partition": list(r.shape.parts),
+            "dimension": _poly_json(r.dimension, dimension_str(r.shape)),
+            "c_reduced": _class_json(r.c_reduced),
+        }
+        for r in results
+    ]
+
+    def text() -> str:
+        return "\n".join(
+            f"n={r.shape.n}  {r.shape!s:16} d = {row['dimension']['display']:42s} "
+            f"c = {row['c_reduced']['display']}"
+            for r, row in zip(results, payload)
+        )
+
+    def latex() -> str:
         lines = [
             "\\begin{tabular}{|cccc|}",
             "\\hline",
             "$n$ & $\\lambda$ & $d(\\lambda)$ & $c(\\lambda)$\\\\",
             "\\hline",
         ]
-        for r in results:
-            lines.append(
-                f"{r.shape.n} & ${r.shape}$ & ${dimension_str(r.shape)}$ & "
-                f"${r.c_reduced.render_latex()}$\\\\"
-            )
+        lines += [
+            f"{r.shape.n} & ${r.shape}$ & ${row['dimension']['display']}$ & "
+            f"${r.c_reduced.render_latex()}$\\\\"
+            for r, row in zip(results, payload)
+        ]
         lines += ["\\hline", "\\end{tabular}"]
-        print("\n".join(lines))
-    else:
-        for r in results:
-            print(
-                f"n={r.shape.n}  {r.shape!s:16} d = {dimension_str(r.shape):42s} "
-                f"c = {r.c_reduced.render_text()}"
-            )
-    return 0
+        return "\n".join(lines)
+
+    return payload, text, latex
 
 
-# ---------------------------------------------------------------------------
-# refined
-# ---------------------------------------------------------------------------
-
-
-def cmd_refined(args: argparse.Namespace) -> int:
+def cmd_refined(args: argparse.Namespace) -> tuple:
     from .refined import refined_decomposition
 
-    result = refined_decomposition(args.partition)
-    constituents = []
-    for c in result.constituents:
-        constituents.append({
+    shape = args.partition
+    result = refined_decomposition(shape)
+    constituents = [
+        {
             "gamma": list(c.gamma.parts),
             "multiplicity": c.multiplicity,
             "chains": [list(map(list, ch)) for ch in c.chains],
@@ -186,28 +173,19 @@ def cmd_refined(args: argparse.Namespace) -> int:
             "coupling_det": _poly_json(c.c_det),
             "coupling_reduced": _poly_json(c.c_reduced.value()),
             "reduced_ok": True,  # fixed schema field: an unsplit coupling raises
-        })
+        }
+        for c in result.constituents
+    ]
     payload = {
-        "partition": list(args.partition.parts),
-        "n": args.partition.n,
+        "partition": list(shape.parts),
+        "n": shape.n,
         "constituents": constituents,
         "refined_dimension": _poly_json(result.refined_dimension),
-        "refined_det": result.refined_det.to_json(),
+        "refined_det": _class_json(result.refined_det),
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "latex":
-        gammas = ",\\ ".join(str(c.gamma) for c in result.constituents) or "-"
-        classes = ",\\ ".join(
-            c["coupling_reduced"]["display"] for c in constituents
-        ) or "-"
-        print(
-            "\\begin{tabular}{|c|c|l|}\n\\hline\n"
-            "$\\lambda$ & $\\gamma$ & $c(\\lambda,\\gamma)$\\\\\n\\hline\n"
-            f"${args.partition}$ & ${gammas}$ & ${classes}$\\\\\n\\hline\n\\end{{tabular}}"
-        )
-    else:
-        lines = [f"partition: {args.partition}"]
+
+    def text() -> str:
+        lines = [f"partition: {shape}"]
         if not constituents:
             lines.append("no constituents: the refined space is the whole symmetrization")
         for constituent, c in zip(result.constituents, constituents):
@@ -221,16 +199,22 @@ def cmd_refined(args: argparse.Namespace) -> int:
                 lines.append(f"    det = {c['coupling_det']['display']}")
         lines.append(f"refined dimension = {payload['refined_dimension']['display']}")
         lines.append(f"refined det = {payload['refined_det']['display']}")
-        print("\n".join(lines))
-    return 0
+        return "\n".join(lines)
+
+    def latex() -> str:
+        gammas = ",\\ ".join(str(c.gamma) for c in result.constituents) or "-"
+        classes = ",\\ ".join(c["coupling_reduced"]["display"] for c in constituents) or "-"
+        return (
+            "\\begin{tabular}{|c|c|l|}\n\\hline\n"
+            "$\\lambda$ & $\\gamma$ & $c(\\lambda,\\gamma)$\\\\\n\\hline\n"
+            f"${shape}$ & ${gammas}$ & ${classes}$\\\\\n\\hline\n\\end{{tabular}}"
+        )
+
+    return payload, text, latex
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    """Exit code and text report of the verification passes in scope."""
     from .golden import verify_refined, verify_sym
 
     reports = []
@@ -238,14 +222,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports.append(("sym", verify_sym(args.golden_tables)))
     if args.scope in ("refined", "all"):
         reports.append(("refined", verify_refined(args.golden_tables)))
-    failed = False
+    lines = []
     for name, report in reports:
         status = "OK" if report.ok else "FAIL"
-        print(f"{name}: {report.checked} checks, {len(report.mismatches)} mismatches [{status}]")
-        for m in report.mismatches:
-            print(f"  mismatch: {m}")
-        failed = failed or not report.ok
-    return 1 if failed else 0
+        lines.append(f"{name}: {report.checked} checks, {len(report.mismatches)} mismatches [{status}]")
+        lines += [f"  mismatch: {m}" for m in report.mismatches]
+    return (0 if all(report.ok for _, report in reports) else 1), "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sym = sub.add_parser("sym", help="one symmetrization determinant")
     p_sym.add_argument("partition_text", metavar="partition")
+    p_sym.set_defaults(run=cmd_sym)
 
     p_table = sub.add_parser("table", help="table of all shapes up to a weight")
     p_table.add_argument("--n", type=int, required=True, metavar="K")
+    p_table.set_defaults(run=cmd_table)
 
     p_ref = sub.add_parser("refined", help="refined orthogonal decomposition")
     p_ref.add_argument("partition_text", metavar="partition")
+    p_ref.set_defaults(run=cmd_refined)
 
     p_ver = sub.add_parser("verify", help="diff the engine against golden tables")
     p_ver.add_argument("--scope", choices=("sym", "refined", "all"), default="all")
@@ -297,18 +282,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.partition.n < 2:
             parser.error("need a partition of n >= 2")
 
-    if args.command == "sym":
-        if args.partition.n > MAX_SYM_N:
-            parser.error(f"beyond supported degree (n <= {MAX_SYM_N})")
-        return cmd_sym(args)
-    if args.command == "table":
-        if not 2 <= args.n <= MAX_TABLE_N:
-            parser.error(f"beyond supported degree (2 <= n <= {MAX_TABLE_N})")
-        return cmd_table(args)
-    if args.command == "refined":
-        if args.partition.n > MAX_REFINED_N:
-            parser.error(f"refined decomposition unsupported for n > {MAX_REFINED_N}")
-        return cmd_refined(args)
+    if args.command == "sym" and args.partition.n > MAX_SYM_N:
+        parser.error(f"beyond supported degree (n <= {MAX_SYM_N})")
+    if args.command == "table" and not 2 <= args.n <= MAX_TABLE_N:
+        parser.error(f"beyond supported degree (2 <= n <= {MAX_TABLE_N})")
+    if args.command == "refined" and args.partition.n > MAX_REFINED_N:
+        parser.error(f"refined decomposition unsupported for n > {MAX_REFINED_N}")
+
     if args.command == "verify":
         from .golden import load_golden
 
@@ -316,8 +296,13 @@ def main(argv: list[str] | None = None) -> int:
             args.golden_tables = load_golden(args.golden)
         except (OSError, ValueError) as exc:
             parser.error(f"bad golden file {args.golden}: {type(exc).__name__}: {exc}")
-        return cmd_verify(args)
-    raise AssertionError("unreachable")
+        code, out = cmd_verify(args)  # a text report whatever the format
+    else:
+        payload, text, latex = args.run(args)
+        render = {"json": lambda: json.dumps(payload, indent=2), "text": text, "latex": latex}[args.format]
+        code, out = 0, render()
+    print(out)
+    return code
 
 
 if __name__ == "__main__":

@@ -617,17 +617,6 @@ class SquareClassFormula(Value):
             parts.append(f"\\det(B)^{{{self.detB_exponent}}}")
         return " ".join(parts) if parts else "1"
 
-    def to_json(self) -> dict:
-        return {
-            "factors": [
-                {"base": str(b), "exponent_binomials": _binomial_combo_json(e)}
-                for b, e in self.factors.items()
-            ],
-            "detB_exponent": str(self.detB_exponent),
-            "display": self.render_text(),
-            "unreduced": False,  # fixed schema field: every factor is a prime or linear
-        }
-
 
 _LATEX_BINOM = "\\binom{{N}}{{{}}}"
 
@@ -653,7 +642,3 @@ def _render_power(base: str, e: Binomials) -> str:
     if "+" in es or "-" in es or "*" in es:
         es = f"({es})"
     return f"{base}^{es}"
-
-
-def _binomial_combo_json(e: Binomials) -> dict[str, str]:
-    return {str(k): str(a) for k, a in enumerate(e.coeffs) if a}

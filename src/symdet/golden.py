@@ -49,16 +49,24 @@ class GoldenTables(Value):
     __slots__ = ("sym_rows", "stretch_rows", "refined_rows", "matrices", "coupling_42_2")
 
 
-def _integer(x, least: float = -math.inf) -> int:
-    """``x`` if it is a JSON integer (a bool is not one) of at least ``least``."""
-    if type(x) is not int or x < least:
-        raise ValueError(f"{x!r} is not an integer of at least {least}")
+def _integer(x, least: float = -math.inf, most: float = math.inf) -> int:
+    """``x`` if it is a JSON integer (a bool is not one) from ``least`` to ``most``."""
+    if type(x) is not int or not least <= x <= most:
+        raise ValueError(f"{x!r} is not an integer from {least} to {most}")
     return x
 
 
 def _partition(parts: list) -> Partition:
     """A partition whose parts are JSON integers of at least 1."""
     return Partition([_integer(p, 1) for p in parts])
+
+
+def _row_partition(parts: list) -> Partition:
+    """A row's partition: like a gamma, but never empty."""
+    shape = _partition(parts)
+    if not shape.parts:
+        raise ValueError("a row's partition is empty")
+    return shape
 
 
 def _poly_from_roots(scale: Fraction | int, roots: list[int]) -> Poly:
@@ -69,10 +77,13 @@ def _poly_from_roots(scale: Fraction | int, roots: list[int]) -> Poly:
     return out
 
 
-def _class_formula(det_class: list) -> SquareClassFormula:
-    """prod base^(sum of its C(N,k)) over the [base, [k, ...]] factors, reduced modulo squares."""
+def _class_formula(det_class: list, n: int) -> SquareClassFormula:
+    """prod base^(sum of its C(N,k)) over the [base, [k, ...]] factors, reduced modulo squares.
+
+    Each k is at most the row's weight ``n``, which bounds the length of ``Binomials.unit(k)``.
+    """
     return SquareClassFormula.product(
-        (_integer(base, 1), sum((Binomials.unit(_integer(k, 0)) for k in ks), Binomials()))
+        (_integer(base, 1), sum((Binomials.unit(_integer(k, 0, n)) for k in ks), Binomials()))
         for base, ks in det_class
     ).reduced()
 
@@ -90,29 +101,30 @@ def load_golden(path: str | Path | None = None) -> GoldenTables:
 
 
 def _parse_golden(doc: dict) -> GoldenTables:
-    if doc.get("version") != 1:
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
         raise ValueError("unsupported golden table version")
 
     def sym_rows(key: str) -> list[DetClass]:
         rows = []
         for row in doc[key]:
-            shape = _partition(row["partition"])
+            shape = _row_partition(row["partition"])
             if shape.n > MAX_TABLE_N:
                 raise ValueError(f"{key} row {shape} is beyond the limit n <= {MAX_TABLE_N}")
             spec = row["dimension"]
             dim = _poly_from_roots(Fraction(1, _integer(spec["den"], 1)), spec["roots"])
-            rows.append(DetClass(shape, _class_formula(row["det_class"]), dim))
+            rows.append(DetClass(shape, _class_formula(row["det_class"], shape.n), dim))
         return rows
 
     refined_rows = []
     for r in doc["refined"]:
-        shape = _partition(r["partition"])
+        shape = _row_partition(r["partition"])
         if shape.n > MAX_REFINED_N:
             raise ValueError(f"refined row {shape} is beyond the limit n <= {MAX_REFINED_N}")
         c_det = _poly_from_roots(_integer(r["class_constant"], 1), r["class_roots"])
         c_reduced = SquareClassFormula.product([(c_det, Binomials.unit(0))]).reduced()
         refined_rows.append(
-            RefinedRow(shape, _partition(r["gamma"]), _integer(r["multiplicity"]), c_reduced)
+            RefinedRow(shape, _partition(r["gamma"]), _integer(r["multiplicity"], 1), c_reduced)
         )
     matrices = {}
     for key, mat in doc["matrices"].items():

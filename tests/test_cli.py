@@ -342,6 +342,15 @@ class TestVerifyCommand:
             )),
             _edited_golden(lambda doc: doc["matrices"].update({"10|10": [[1]]})),
             _edited_golden(lambda doc: doc["matrices"].update({"4,4,4|" + ",".join("1" * 12): [[1]]})),
+            # a row's partition has weight at least 1; a gamma may be empty
+            _edited_golden(lambda doc: doc["symmetrizations"][0].update(partition=[])),
+            _edited_golden(lambda doc: doc["refined"][0].update(partition=[])),
+            # the version is the JSON integer 1, and True == 1.0 == 1 in Python
+            _edited_golden(lambda doc: doc.update(version=True)),
+            _edited_golden(lambda doc: doc.update(version=1.0)),
+            # C(N,k) for k up to the row's weight n only; row 0 is (2), with k = 2
+            _edited_golden(lambda doc: doc["symmetrizations"][0].update(det_class=[[2, [3]]])),
+            _edited_golden(lambda doc: doc["refined"][0].update(multiplicity=0)),
         ],
         ids=[
             "missing", "not-json", "no-tables", "wrong-version", "wrong-structure",
@@ -354,6 +363,8 @@ class TestVerifyCommand:
             "string-coupling-coefficient", "negative-constant", "refined-row-beyond-limit",
             "table-row-beyond-limit", "stretch-row-beyond-limit", "table-row-one-past-limit",
             "matrix-key-beyond-limit", "matrix-key-weight-twelve",
+            "empty-table-partition", "empty-refined-partition", "bool-version", "float-version",
+            "k-one-past-weight", "zero-multiplicity",
         ],
     )
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):
@@ -433,6 +444,9 @@ class TestPinnedOutput:
             # the widest table
             (("--format", "json", "table", "--n", "16"),
              "eae15351fc5a13fca114989e18dfcf019ad874028ba17358059b2e826190c6a4"),
+            # matrix entries of up to 10 digits, wider than the 6-character column
+            (("--format", "text", "sym", "8"),
+             "63d00ae5e60f73a45e4b6988efa5b3f2be5ca455aeb1f04658620502584f162b"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -468,6 +482,16 @@ class TestPinnedOutput:
             assert code == 0
             digest.update(out.encode())
         assert digest.hexdigest() == "11277ff1eb4a184f7b02f3194b95e1be20961bc501b1990ddbf88e0cb4ad0a35"
+
+    def test_sym_latex_through_weight_six(self, capsys):
+        digest = hashlib.sha256()
+        shapes = [shape for n in range(2, 7) for shape in partitions_of(n)]
+        assert len(shapes) == 28
+        for shape in shapes:
+            code, out = run(capsys, "--jobs", "1", "--format", "latex", "sym", ",".join(map(str, shape.parts)))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == "d1344a0d62253b1c6585754ce5796070a8610cf3d59adb9e37ec657553d53a98"
 
     def test_text_and_latex_of_refined_through_weight_seven_and_sym_through_six(self, capsys):
         digest = hashlib.sha256()

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from symdet.cli import _class_json
 from symdet.combinat import (
     Partition,
     compositions_of,
@@ -237,7 +238,7 @@ class TestDeterminantClasses:
         for shape, result in zip(shapes, results):
             full = symmetrization_determinant(shape, jobs=oracle_jobs)
             assert result.c_reduced.reduced() == full.c_formula.reduced(), shape
-            assert result.c_reduced.to_json() == full.c_formula.reduced().to_json(), shape
+            assert _class_json(result.c_reduced) == _class_json(full.c_formula.reduced()), shape
             assert result.dimension == full.dimension, shape
 
     def test_highest_weight_block_is_c_lambda(self):

@@ -59,6 +59,13 @@ MUTANTS = [
         "tests/test_cli.py::TestVerifyCommand::test_unreadable_golden_is_a_usage_error"
         "[matrix-key-beyond-limit]",
     ),
+    (
+        "golden.py",
+        "_integer(k, 0, n)",
+        "_integer(k, 0, n + 1)",
+        "tests/test_cli.py::TestVerifyCommand::test_unreadable_golden_is_a_usage_error"
+        "[k-one-past-weight]",
+    ),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import symdet.combinat
 import symdet.exact
 import symdet.refined
+from symdet.cli import _class_json
 from symdet.combinat import Partition, partitions_of
 from symdet.exact import Binomials, Poly, SquareClassFormula, poly_matrix_det
 from symdet.refined import (
@@ -384,7 +385,7 @@ class TestRefinedDecomposition:
         text = "2^N * 3^C(N,3) * (N - 1)^N * det(B)^(N^2 - 2)"
         assert f.render_text() == text
         assert f.render_latex() == "2^{N} 3^{\\binom{N}{3}} (N - 1)^{N} \\det(B)^{N^2 - 2}"
-        assert f.to_json() == {
+        assert _class_json(f) == {
             "factors": [
                 {"base": "2", "exponent_binomials": {"1": "1"}},
                 {"base": "3", "exponent_binomials": {"3": "1"}},
