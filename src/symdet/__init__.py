@@ -16,7 +16,7 @@ what it needs, and the CLI loads only the modules of the command it runs.
 Main entry points
 -----------------
 - :func:`symdet.gram.symmetrization_determinant` (every Gram block of one shape)
-- :func:`symdet.gram.determinant_classes` (reduced class and dimension only)
+- :func:`symdet.gram.determinant_class` (reduced class and dimension only)
 - :func:`symdet.gram.gram_block`
 - :func:`symdet.gram.closed_form_c`
 - :func:`symdet.refined.refined_decomposition`
@@ -34,7 +34,7 @@ _EXPORTS = {
     "compositions_of": "combinat",
     "constituent_gram": "refined",
     "constituent_poly": "refined",
-    "determinant_classes": "gram",
+    "determinant_class": "gram",
     "dimension_poly": "combinat",
     "gram_block": "gram",
     "hook_block_det": "gram",

@@ -23,7 +23,7 @@ import sys
 
 from .combinat import Partition, dimension_str, partitions_of
 from .exact import Poly, SquareClassFormula
-from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, determinant_classes, symmetrization_determinant
+from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, determinant_class, symmetrization_determinant
 
 
 def parse_partition(text: str) -> Partition:
@@ -122,8 +122,7 @@ def cmd_sym(args: argparse.Namespace) -> tuple:
 
 
 def cmd_table(args: argparse.Namespace) -> tuple:
-    shapes = [shape for n in range(2, args.n + 1) for shape in partitions_of(n)]
-    results = determinant_classes(shapes)
+    results = [determinant_class(shape) for n in range(2, args.n + 1) for shape in partitions_of(n)]
     payload = [
         {
             "n": r.shape.n,

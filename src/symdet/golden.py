@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .combinat import Partition, partitions_of, patterns_of
 from .exact import Binomials, Poly, SquareClassFormula, Value
-from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, DetClass, determinant_classes, gram_block
+from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, DetClass, determinant_class, gram_block
 from .refined import refined_decomposition
 
 # A golden matrix of at most this many tableaux may list them in any
@@ -69,12 +69,25 @@ def _row_partition(parts: list) -> Partition:
     return shape
 
 
-def _poly_from_roots(scale: Fraction | int, roots: list[int]) -> Poly:
-    """scale * prod(N - r) over the integer roots r."""
+def _poly_from_roots(scale: Fraction | int, roots: list[int], most: int) -> Poly:
+    """scale * prod(N - r) over the integer roots r, of which the row allows at most ``most``.
+
+    Each root multiplies in one linear factor, at a cost that grows faster than quadratically.
+    """
+    if len(roots) > most:
+        raise ValueError(f"{len(roots)} roots where the row allows at most {most}")
     out = Poly.const(scale)
     for r in roots:
         out = out * Poly((-_integer(r), 1))
     return out
+
+
+def _key_numbers(text: str) -> tuple[int, ...]:
+    """The comma-separated numbers of one half of a matrix key, each in ASCII decimal digits."""
+    numbers = text.split(",")
+    if not all(x.isascii() and x.isdigit() for x in numbers):
+        raise ValueError(f"{text!r} is not a comma-separated list of decimal numbers")
+    return tuple(map(int, numbers))
 
 
 def _class_formula(det_class: list, n: int) -> SquareClassFormula:
@@ -95,9 +108,17 @@ def load_golden(path: str | Path | None = None) -> GoldenTables:
     else:
         text = Path(path).read_text()
     try:
-        return _parse_golden(json.loads(text))
+        return _parse_golden(json.loads(text, object_pairs_hook=_unique_keys))
     except (ArithmeticError, AttributeError, IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed golden data: {type(exc).__name__}: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are distinct; ``json.loads`` alone keeps the last of two equal keys."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise ValueError("a JSON object names one key twice")
+    return out
 
 
 def _parse_golden(doc: dict) -> GoldenTables:
@@ -112,7 +133,8 @@ def _parse_golden(doc: dict) -> GoldenTables:
             if shape.n > MAX_TABLE_N:
                 raise ValueError(f"{key} row {shape} is beyond the limit n <= {MAX_TABLE_N}")
             spec = row["dimension"]
-            dim = _poly_from_roots(Fraction(1, _integer(spec["den"], 1)), spec["roots"])
+            # the dimension has degree n
+            dim = _poly_from_roots(Fraction(1, _integer(spec["den"], 1)), spec["roots"], shape.n)
             rows.append(DetClass(shape, _class_formula(row["det_class"], shape.n), dim))
         return rows
 
@@ -121,20 +143,27 @@ def _parse_golden(doc: dict) -> GoldenTables:
         shape = _row_partition(r["partition"])
         if shape.n > MAX_REFINED_N:
             raise ValueError(f"refined row {shape} is beyond the limit n <= {MAX_REFINED_N}")
-        c_det = _poly_from_roots(_integer(r["class_constant"], 1), r["class_roots"])
+        gamma = _partition(r["gamma"])
+        j, odd = divmod(shape.n - gamma.n, 2)
+        if odd or j < 1:
+            raise ValueError(f"refined row {shape}/{gamma}: the gamma's weight is not n - 2j for a j >= 1")
+        # every coupling with n <= 8 has multiplicity 1 or 2; an m x m determinant of
+        # entries of degree <= j has degree <= m * j
+        multiplicity = _integer(r["multiplicity"], 1, shape.n)
+        c_det = _poly_from_roots(_integer(r["class_constant"], 1), r["class_roots"], multiplicity * j)
         c_reduced = SquareClassFormula.product([(c_det, Binomials.unit(0))]).reduced()
-        refined_rows.append(
-            RefinedRow(shape, _partition(r["gamma"]), _integer(r["multiplicity"], 1), c_reduced)
-        )
+        refined_rows.append(RefinedRow(shape, gamma, multiplicity, c_reduced))
     matrices = {}
     for key, mat in doc["matrices"].items():
         shape_s, pat_s = key.split("|")
-        shape = Partition(tuple(int(x) for x in shape_s.split(",")))
-        pattern = tuple(int(x) for x in pat_s.split(","))
+        shape = Partition(_key_numbers(shape_s))
+        pattern = _key_numbers(pat_s)
         if shape.n > MAX_SYM_N:
             raise ValueError(f"matrix key {key!r} is beyond the limit n <= {MAX_SYM_N}")
         if pattern not in patterns_of(shape):
             raise ValueError(f"matrix key {key!r} names a pattern with no tableau of its shape")
+        if (shape, pattern) in matrices:
+            raise ValueError(f"matrix key {key!r} names the block of another key")
         if any(len(row) != len(mat) or any(type(x) is not int for x in row) for row in mat):
             raise ValueError(f"matrix {key!r} is not a square list of integer rows")
         matrices[(shape, pattern)] = tuple(tuple(row) for row in mat)
@@ -170,9 +199,9 @@ def verify_sym(golden: GoldenTables) -> VerifyReport:
     """Recompute every table row, stretch row and worked matrix; diff against golden."""
     mismatches = []
     checked = 0
-    rows = golden.sym_rows + golden.stretch_rows
-    for row, result in zip(rows, determinant_classes([row.shape for row in rows])):
+    for row in golden.sym_rows + golden.stretch_rows:
         checked += 1
+        result = determinant_class(row.shape)
         if result.dimension != row.dimension:
             mismatches.append(
                 f"sym {row.shape}: dimension expected {row.dimension.factored_str()}, "

@@ -11,7 +11,7 @@ exact exponent dim * n / N.
 :func:`symmetrization_determinant` builds every block of one shape for
 the exact product, serially unless more than one job is asked for, and
 :func:`gram_block` accumulates each block key by key over the column
-classes of its tableau images.  :func:`determinant_classes` needs the
+classes of its tableau images.  :func:`determinant_class` needs the
 class modulo rational squares only, and builds no block.  Take B
 orthonormal: the tensor form is then contravariant for gl_N
 (E_ij* = E_ji), and the image e V^(x)n is the irreducible module
@@ -42,9 +42,9 @@ from .combinat import (
     patterns_of,
     ssyt_with_pattern,
 )
-from .exact import Binomials, SquareClassFormula, Value, bareiss_det
+from .exact import Binomials, SquareClassFormula, Value, bareiss_det, factorint
 
-# the largest weight of a ``table`` shape and of a golden sym row, which go through determinant_classes
+# the largest weight of a ``table`` shape and of a golden sym row, which go through determinant_class
 MAX_TABLE_N = 16
 # the largest weight of a ``sym`` shape and of a golden matrix key, which go through gram_block
 MAX_SYM_N = 9
@@ -103,7 +103,7 @@ def gram_block(shape: Partition, pattern: Pattern) -> GramBlock:
     included; a pivot <= 0 raises ArithmeticError naming the shape and
     the pattern.
     """
-    # imported here, on the sym-only path: determinant_classes needs no symmetrizer
+    # imported here, on the sym-only path: determinant_class needs no symmetrizer
     from .symmetrizer import column_classes, free_tail, row_sum, stabilizer_order
 
     tableaux = ssyt_with_pattern(shape, pattern)
@@ -184,8 +184,8 @@ def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
     return SymDetResult(shape, {b.pattern: b for b in blocks}, c_formula, dim, detb_exponent(shape))
 
 
-def determinant_classes(shapes: list[Partition]) -> list[DetClass]:
-    """Reduced determinant class and dimension of each shape, in input order.
+def determinant_class(shape: Partition) -> DetClass:
+    """Reduced determinant class and dimension of one shape, 1 <= n <= MAX_TABLE_N.
 
     Reads the class from Gelfand-Tsetlin norms (Molev, Thm 2.7) instead
     of building a block.  With B orthonormal the form on
@@ -196,70 +196,65 @@ def determinant_classes(shapes: list[Partition]) -> list[DetClass]:
         class(m) = c_lambda^dim * prod_Lambda <xi_Lambda, xi_Lambda>
 
     modulo rational squares, over the dim GT patterns Lambda with top row
-    lambda padded to m, where c_lambda = |C| * (prod lambda_i!)^2.  One
-    memoized recursion over GT rows, shared by every shape, gives for
-    each row the parity of the number of patterns below it and the XOR of
-    their norm parities; a row's patterns are those of each interlacing
-    row b below it, each times the step norm of (row, b).
+    lambda padded to m, where c_lambda = |C| * (prod lambda_i!)^2; the
+    product over Lambda is read off :func:`_below`.
 
     class(m) is the product of det(block_mu)^C(m,k) over the patterns
     mu with k distinct letters, so its exponents are e(m) = sum_k
     C(m,k) a_k and binomial inversion gives a_k = sum_{i<=k} C(k,i) e(i)
     modulo 2.  Only exponent parities are tracked, as bitmasks over the
-    primes up to 2n + 2.
+    primes up to 2 * MAX_TABLE_N + 2, the largest factorial a norm reads.
     """
-    if any(shape.n < 1 for shape in shapes):
-        raise ValueError("need a partition of n >= 1")
-    primes, fact = _factorial_parities(2 * max((shape.n for shape in shapes), default=0) + 2)
+    if not 1 <= shape.n <= MAX_TABLE_N:
+        raise ValueError(f"determinant classes need a partition of 1 <= n <= {MAX_TABLE_N}")
+    c_mask = reduce(xor, (_FACT[col] for col in shape.conjugate().parts))  # c_lambda ~ |C|
+    e = [0] * len(shape)  # S_lambda(Q^m) = 0 for m < len(lambda)
+    for m in range(len(shape), shape.n + 1):
+        count, mask = _below(shape.parts + (0,) * (m - len(shape)))
+        e.append(mask ^ (c_mask if count else 0))
+    a = [reduce(xor, (e[i] for i in range(k + 1) if math.comb(k, i) % 2)) for k in range(len(e))]
+    c_reduced = SquareClassFormula({
+        p: exps for j, p in enumerate(_PRIMES) if (exps := Binomials(a_k >> j & 1 for a_k in a))
+    })
+    return DetClass(shape, c_reduced, dimension_poly(shape))
 
-    @lru_cache(maxsize=None)  # lives for this call, shared by every shape in it
-    def below(row: tuple[int, ...]) -> tuple[int, int]:
-        """Parity of the GT pattern count under ``row`` and the XOR of their norm masks."""
-        if len(row) == 1:
-            return 1, 0
-        count = mask = 0
-        for b in product(*(range(low, high + 1) for high, low in zip(row, row[1:]))):
-            b_count, b_mask = below(b)
-            count ^= b_count
-            mask ^= b_mask ^ (_norm_step(row, b, fact) if b_count else 0)
-        return count, mask
 
-    results = {}
-    for shape in dict.fromkeys(shapes):
-        c_mask = reduce(xor, (fact[col] for col in shape.conjugate().parts))  # c_lambda ~ |C|
-        e = [0] * len(shape)  # S_lambda(Q^m) = 0 for m < len(lambda)
-        for m in range(len(shape), shape.n + 1):
-            count, mask = below(shape.parts + (0,) * (m - len(shape)))
-            e.append(mask ^ (c_mask if count else 0))
-        a = [reduce(xor, (e[i] for i in range(k + 1) if math.comb(k, i) % 2)) for k in range(len(e))]
-        c_reduced = SquareClassFormula({
-            p: exps for j, p in enumerate(primes) if (exps := Binomials(a_k >> j & 1 for a_k in a))
-        })
-        results[shape] = DetClass(shape, c_reduced, dimension_poly(shape))
-    return [results[shape] for shape in shapes]
+@lru_cache(maxsize=None)
+def _below(row: tuple[int, ...]) -> tuple[int, int]:
+    """Parity of the GT pattern count under ``row`` and the XOR of their norm masks.
+
+    A row's patterns are those of each interlacing row b below it, each
+    times the step norm of (row, b); the memo is shared by every shape.
+    """
+    if len(row) == 1:
+        return 1, 0
+    count = mask = 0
+    for b in product(*(range(low, high + 1) for high, low in zip(row, row[1:]))):
+        b_count, b_mask = _below(b)
+        count ^= b_count
+        mask ^= b_mask ^ (_norm_step(row, b) if b_count else 0)
+    return count, mask
 
 
 def _factorial_parities(top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The primes up to ``top`` and, for x = 0..top, the odd-exponent primes of x! as a bitmask.
 
-    Bit i stands for the i-th prime; the exponents come from Legendre's
-    formula v_p(x!) = sum_j floor(x / p^j).
+    Bit i stands for the i-th prime; x! = (x - 1)! * x, so each mask is
+    the one before XOR the odd-exponent primes of x, read off ``factorint``.
     """
-    primes = tuple(p for p in range(2, top + 1) if all(p % d for d in range(2, p)))
-    masks = []
-    for x in range(top + 1):
-        mask = 0
-        for i, p in enumerate(primes):
-            v, q = 0, p
-            while q <= x:
-                v += x // q
-                q *= p
-            mask |= (v & 1) << i
-        masks.append(mask)
+    factors = [factorint(x) for x in range(1, top + 1)]
+    primes = tuple(x for x, f in enumerate(factors, 1) if f == {x: 1})
+    bit = {p: 1 << i for i, p in enumerate(primes)}
+    masks = [0]
+    for f in factors:
+        masks.append(reduce(xor, (bit[p] for p, e in f.items() if e % 2), masks[-1]))
     return primes, tuple(masks)
 
 
-def _norm_step(row: tuple[int, ...], below: tuple[int, ...], fact: tuple[int, ...]) -> int:
+_PRIMES, _FACT = _factorial_parities(2 * MAX_TABLE_N + 2)
+
+
+def _norm_step(row: tuple[int, ...], below: tuple[int, ...]) -> int:
     """Parity mask of the level-m factor of Molev's norm, row m over row m - 1.
 
     With l_i = row[i] - i and k_i = below[i] - i (0-based), the factor is
@@ -270,9 +265,9 @@ def _norm_step(row: tuple[int, ...], below: tuple[int, ...], fact: tuple[int, ..
     mask = 0
     for i, k_i in enumerate(ks):
         for j in range(i, len(ks)):
-            mask ^= fact[ls[i] - ks[j]] ^ fact[k_i - ks[j]]
+            mask ^= _FACT[ls[i] - ks[j]] ^ _FACT[k_i - ks[j]]
         for j in range(i + 1, len(ls)):
-            mask ^= fact[ls[i] - ls[j] - 1] ^ fact[k_i - ls[j] - 1]
+            mask ^= _FACT[ls[i] - ls[j] - 1] ^ _FACT[k_i - ls[j] - 1]
     return mask
 
 

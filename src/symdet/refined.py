@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .combinat import Partition, detb_exponent, littlewood_multiplicity, partitions_of
 from .exact import Binomials, Poly, SquareClassFormula, Value, poly_matrix_det
-from .gram import MAX_REFINED_N, determinant_classes
+from .gram import MAX_REFINED_N, determinant_class
 from .symmetrizer import column_sum, row_sum, symmetrize
 
 Word = tuple[int, ...]
@@ -370,7 +370,7 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
     # products below, so the reduced class stands in for the exact one;
     # c_det^(-d) is c_reduced^d, as every exponent of c_reduced is 1 and
     # -d = d mod 2
-    sym = determinant_classes([shape])[0]
+    sym = determinant_class(shape)
     dim = sym.dimension
     terms = [(sym.c_reduced, 1)]
     for c in constituents:

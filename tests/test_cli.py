@@ -281,7 +281,8 @@ class TestVerifyCommand:
 
     def test_refined_row_beyond_weight_six_is_checked(self, capsys, tmp_path):
         rows = [
-            {"partition": [7], "gamma": [5], "multiplicity": 99,
+            # a multiplicity above the weight (7) would be a bad golden file, not a mismatch
+            {"partition": [7], "gamma": [5], "multiplicity": 2,
              "class_constant": 21, "class_roots": [-10]},
             {"partition": [7], "gamma": [3], "multiplicity": 1,
              "class_constant": 105, "class_roots": [-6, -8]},
@@ -293,7 +294,7 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--scope", "refined", "--golden", str(bad))
         assert code == 1
         assert out.count("mismatch:") == 1
-        assert "refined (7)/(5): multiplicity expected 99, got 1" in out
+        assert "refined (7)/(5): multiplicity expected 2, got 1" in out
 
     @pytest.mark.parametrize(
         "content",
@@ -329,8 +330,8 @@ class TestVerifyCommand:
             _edited_golden(lambda doc: doc["symmetrizations"][0].update(partition=[True, True])),
             _edited_golden(lambda doc: doc["coupling_42_2"]["matrix"][0][0].__setitem__(0, "-8192")),
             _edited_golden(lambda doc: doc["refined"][0].update(class_constant=-1)),
-            # refined accepts n <= 8, so a weight-9 row could never be checked
-            _edited_golden(lambda doc: doc["refined"].append(dict(doc["refined"][0], partition=[9]))),
+            # refined accepts n <= 8, so a weight-9 row could never be checked; (9)/(1) breaks no other rule
+            _edited_golden(lambda doc: doc["refined"].append(dict(doc["refined"][0], partition=[9], gamma=[1]))),
             # table goes to n <= 16 and sym to n <= 9, so a heavier table row or matrix key
             # could never be checked
             *(
@@ -351,6 +352,19 @@ class TestVerifyCommand:
             # C(N,k) for k up to the row's weight n only; row 0 is (2), with k = 2
             _edited_golden(lambda doc: doc["symmetrizations"][0].update(det_class=[[2, [3]]])),
             _edited_golden(lambda doc: doc["refined"][0].update(multiplicity=0)),
+            # key numbers are ASCII decimal digits, and each (shape, pattern) has one key
+            _edited_golden(lambda doc: doc["matrices"].update({"0_2| +2": [[4]]})),
+            _edited_golden(lambda doc: doc["matrices"].update({"2,01|1,2": doc["matrices"]["2,1|1,2"]})),
+            _edited_golden(lambda doc: None).replace('"2,1|1,2": [[2]]', '"2,1|1,2": [[2]], "2,1|1,2": [[2]]', 1),
+            # every root list is bounded by its row: symmetrization row 0 is (2), whose dimension
+            # has 2 roots; refined row 0 is (2)/() with j = 1: at most 2 copies, and m * j roots
+            _edited_golden(lambda doc: doc["symmetrizations"][0]["dimension"].update(roots=[0, -1, -2])),
+            _edited_golden(lambda doc: doc["refined"][0].update(multiplicity=3)),
+            _edited_golden(lambda doc: doc["refined"][0].update(class_roots=[0, 0])),
+            # a gamma weighs n - 2j for a j >= 1: (2)/(2) has j = 0, and refined row 1 is (3)/(1), so (3)/()
+            # leaves an odd gap
+            _edited_golden(lambda doc: doc["refined"][0].update(gamma=[2], class_roots=[])),
+            _edited_golden(lambda doc: doc["refined"][1].update(gamma=[])),
         ],
         ids=[
             "missing", "not-json", "no-tables", "wrong-version", "wrong-structure",
@@ -365,6 +379,9 @@ class TestVerifyCommand:
             "matrix-key-beyond-limit", "matrix-key-weight-twelve",
             "empty-table-partition", "empty-refined-partition", "bool-version", "float-version",
             "k-one-past-weight", "zero-multiplicity",
+            "matrix-key-not-decimal", "matrix-key-named-twice", "matrix-key-written-twice",
+            "dimension-roots-one-past-weight", "multiplicity-one-past-weight",
+            "class-roots-one-past-bound", "gamma-of-full-weight", "gamma-of-odd-weight-gap",
         ],
     )
     def test_unreadable_golden_is_a_usage_error(self, capsys, tmp_path, content):

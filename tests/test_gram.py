@@ -14,9 +14,11 @@ from symdet.combinat import (
 )
 from symdet.exact import POLY_N, Poly, SquareClassFormula, bareiss_det, squarefree_part
 from symdet.gram import (
+    MAX_TABLE_N,
     NoTableauxError,
+    _below,
     closed_form_c,
-    determinant_classes,
+    determinant_class,
     gram_block,
     hook_block_det,
     symmetrization_determinant,
@@ -233,7 +235,7 @@ class TestDeterminantClasses:
     def test_matches_the_all_block_product(self, oracle_jobs):
         shapes = [s for n in range(2, 8) for s in partitions_of(n)]
         shapes += [P((4, 4)), P((3, 3, 2)), P((2,) + (1,) * 6)]
-        results = determinant_classes(shapes)
+        results = [determinant_class(shape) for shape in shapes]
         assert [r.shape for r in results] == shapes
         for shape, result in zip(shapes, results):
             full = symmetrization_determinant(shape, jobs=oracle_jobs)
@@ -253,8 +255,8 @@ class TestDeterminantClasses:
         for n in range(2, 10):
             shapes += [P((n,)), P((1,) * n)]
             shapes += [P((ell,) + (1,) * (n - ell)) for ell in (2, 3) if ell < n]
-        for shape, result in zip(shapes, determinant_classes(shapes)):
-            assert result.c_reduced == closed_form_c(shape).reduced(), shape
+        for shape in shapes:
+            assert determinant_class(shape).c_reduced == closed_form_c(shape).reduced(), shape
 
     def test_builds_no_block(self, monkeypatch):
         def forbidden(*args):
@@ -262,7 +264,7 @@ class TestDeterminantClasses:
 
         monkeypatch.setattr("symdet.gram.gram_block", forbidden)
         monkeypatch.setattr("symdet.gram.bareiss_det", forbidden)
-        assert len(determinant_classes([s for n in range(2, 8) for s in partitions_of(n)])) == 43
+        assert len([determinant_class(s) for n in range(2, 8) for s in partitions_of(n)]) == 43
 
     def test_rearranged_patterns_agree_modulo_squares(self):
         for n in range(2, 7):
@@ -277,9 +279,24 @@ class TestDeterminantClasses:
                         assert got == expected, (shape, pattern)
 
     def test_empty_and_invalid(self):
-        assert determinant_classes([]) == []
         with pytest.raises(ValueError):
-            determinant_classes([P(())])
+            determinant_class(P(()))
+
+    def test_weight_limit_is_exact(self):
+        # the factorial parity table reaches 2 * MAX_TABLE_N + 2, the largest a norm of weight MAX_TABLE_N reads
+        with pytest.raises(ValueError, match=f"n <= {MAX_TABLE_N}"):
+            determinant_class(P((MAX_TABLE_N + 1,)))
+        top = P((MAX_TABLE_N,))
+        assert determinant_class(top).c_reduced == closed_form_c(top).reduced()
+
+    def test_second_call_reads_the_walk_from_its_memo(self):
+        shape = P((4, 3, 1))
+        first = determinant_class(shape)
+        before = _below.cache_info()
+        assert determinant_class(shape) == first
+        after = _below.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
 
 
 class TestClosedForms:

@@ -31,7 +31,7 @@ import pytest
 
 from symdet.combinat import Partition, partitions_of, patterns_of, ssyt_with_pattern
 from symdet.exact import Binomials, SquareClassFormula
-from symdet.gram import determinant_classes, gram_block, symmetrization_determinant
+from symdet.gram import determinant_class, gram_block, symmetrization_determinant
 
 
 def _valuation(x: int, p: int) -> int:
@@ -89,13 +89,13 @@ def _jantzen_class(parts: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
 
 
 def _assert_classes_match_jantzen(shapes):
-    for shape, result in zip(shapes, determinant_classes(shapes)):
-        factors = result.c_reduced.factors
+    for shape in shapes:
+        factors = determinant_class(shape).c_reduced.factors
         got = {p: tuple(c % 2 for c in e.coeffs) for p, e in factors.items()}
         assert got == _jantzen_class(shape.parts), shape
 
 
-def test_determinant_classes_match_jantzen_to_weight_twelve():
+def test_determinant_class_matches_jantzen_to_weight_twelve():
     shapes = [s for n in range(2, 13) for s in partitions_of(n)]
     assert len(shapes) == 270
     _assert_classes_match_jantzen(shapes)
@@ -103,7 +103,7 @@ def test_determinant_classes_match_jantzen_to_weight_twelve():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n", range(13, 17))
-def test_determinant_classes_match_jantzen_at_table_weights_above_twelve(n):
+def test_determinant_class_matches_jantzen_at_table_weights_above_twelve(n):
     # table accepts n <= 16, so every weight it prints has this guard
     _assert_classes_match_jantzen(partitions_of(n))
 

@@ -3,7 +3,9 @@
 A case copies ``src/`` to a temporary directory, applies its one
 replacement there (the old text must occur exactly once), and runs its
 test node in a fresh interpreter that imports the copy.  The case passes
-when that node fails.  The working tree is never edited.
+when that node fails.  The working tree is never edited.  A mutant that
+no test can catch is listed in ``EQUIVALENT`` with the reason, and its
+copy must print the widest table byte for byte.
 """
 
 import os
@@ -66,17 +68,59 @@ MUTANTS = [
         "tests/test_cli.py::TestVerifyCommand::test_unreadable_golden_is_a_usage_error"
         "[k-one-past-weight]",
     ),
+    (
+        "gram.py",
+        "if not 1 <= shape.n <= MAX_TABLE_N:",
+        "if not 1 <= shape.n <= MAX_TABLE_N + 1:",
+        "tests/test_gram.py::TestDeterminantClasses::test_weight_limit_is_exact",
+    ),
+    (
+        "gram.py",
+        "mask ^= _FACT[ls[i] - ls[j] - 1] ^ _FACT[k_i - ls[j] - 1]",
+        "mask ^= _FACT[ls[i] - ls[j] - 1]",
+        "tests/test_jantzen.py::test_determinant_class_matches_jantzen_to_weight_twelve",
+    ),
+    (
+        "gram.py",
+        "if e % 2",
+        "if e",
+        "tests/test_jantzen.py::test_determinant_class_matches_jantzen_to_weight_twelve",
+    ),
+    (
+        # the k = 0 term then has no summand, and reduce raises
+        "gram.py",
+        "if math.comb(k, i) % 2",
+        "if not math.comb(k, i) % 2",
+        "tests/test_jantzen.py::test_determinant_class_matches_jantzen_to_weight_twelve",
+    ),
+]
+
+# (file under src/symdet, old text, new text, why no test can catch it)
+EQUIVALENT = [
+    (
+        "gram.py",
+        "_factorial_parities(2 * MAX_TABLE_N + 2)",
+        "_factorial_parities(2 * MAX_TABLE_N + 3)",
+        "35 is not prime, so the primes and their bits are the same, and no norm of weight"
+        " <= MAX_TABLE_N reads the extra entry",
+    ),
 ]
 
 
-@pytest.mark.parametrize("name, old, new, node", MUTANTS, ids=[m[3].split("::", 1)[1] for m in MUTANTS])
-def test_mutant_is_caught(tmp_path, name, old, new, node):
+def _mutated_src(tmp_path: Path, name: str, old: str, new: str) -> Path:
+    """A copy of src/ with one replacement in ``name``, whose old text occurs exactly once."""
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     path = src / "symdet" / name
     text = path.read_text()
     assert text.count(old) == 1, (name, old)
     path.write_text(text.replace(old, new))
+    return src
+
+
+@pytest.mark.parametrize("name, old, new, node", MUTANTS, ids=[m[3].split("::", 1)[1] for m in MUTANTS])
+def test_mutant_is_caught(tmp_path, name, old, new, node):
+    src = _mutated_src(tmp_path, name, old, new)
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
@@ -84,3 +128,13 @@ def test_mutant_is_caught(tmp_path, name, old, new, node):
     )
     # exit code 1 with "1 failed": the node was collected, ran and failed
     assert result.returncode == 1 and "1 failed" in result.stdout, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("name, old, new, why", EQUIVALENT, ids=[m[2] for m in EQUIVALENT])
+def test_equivalent_mutant_prints_the_same_widest_table(tmp_path, name, old, new, why):
+    argv = [sys.executable, "-m", "symdet.cli", "--format", "json", "table", "--n", "16"]
+    outputs = []
+    for src in (ROOT / "src", _mutated_src(tmp_path, name, old, new)):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        outputs.append(subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True).stdout)
+    assert outputs[0] == outputs[1], why

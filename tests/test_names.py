@@ -1,16 +1,17 @@
 """Every global name that a function, class body or comprehension reads is bound, every import is read,
-and every top-level function and class of the package is read.
+every top-level function and class of the package is read, and README's Caches table names every memo.
 
 ``python -m compileall`` accepts a read of a module-level name that is never
 imported or defined, and the slip shows only when that line runs.  The
 symbol tables of each source file name every such read without running it.
 An import that nothing reads is dead weight on every start-up, and so is a
 function or class that no code reads; the syntax tree of each source file
-names both.
+names both, and every function that ``lru_cache`` decorates.
 """
 
 import ast
 import builtins
+import itertools
 import symtable
 from pathlib import Path
 
@@ -148,3 +149,45 @@ def test_every_definition_is_read():
     sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in SOURCES}
     assert sum(path.startswith("src/symdet/") for path in sources) > 5
     assert not _unread_definitions(sources)
+
+
+def _lru_cached(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each function in src/symdet, nested ones included, that ``lru_cache`` decorates."""
+    cached = []
+    for path, text in sources.items():
+        if not path.startswith("src/symdet/"):
+            continue
+        for node in ast.walk(ast.parse(text, path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) == "lru_cache":
+                    cached.append(f"{Path(path).stem}.{node.name}")
+    return sorted(cached)
+
+
+def _caches_table(readme: str) -> list[str]:
+    """The memo cell of each row of README's Caches table, backticks stripped."""
+    lines = readme.splitlines()
+    start = lines.index("| memo | key | value |") + 2  # past the header and its rule
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    return sorted(row.split("|")[1].strip().strip("`") for row in rows)
+
+
+def test_readme_caches_table_names_every_memo():
+    slip = {
+        "src/symdet/m.py": (
+            "import functools\nfrom functools import lru_cache\n\n"
+            "@lru_cache(maxsize=None)\ndef a():\n    return 1\n\n"
+            "@property\ndef b():\n    @functools.lru_cache\n    def c():\n        return 2\n    return c\n"
+        ),
+        "tests/t.py": "from functools import lru_cache\n\n@lru_cache\ndef d():\n    return 3\n",
+    }
+    assert _lru_cached(slip) == ["m.a", "m.c"]
+    readme = "**Caches.**\n\n| memo | key | value |\n| --- | --- | --- |\n| `m.a` | n | x |\n\nafter | m.z |\n"
+    assert _caches_table(readme) == ["m.a"]
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text() for path in SOURCES}
+    cached = _lru_cached(sources)
+    assert len(cached) > 5
+    assert _caches_table((ROOT / "README.md").read_text()) == cached

@@ -8,7 +8,7 @@ import pytest
 from symdet.combinat import Partition
 from symdet.exact import Binomials, Poly, SquareClassFormula, Value
 from symdet.golden import VerifyReport, load_golden
-from symdet.gram import GramBlock, determinant_classes, gram_block, symmetrization_determinant
+from symdet.gram import GramBlock, determinant_class, gram_block, symmetrization_determinant
 from symdet.refined import ConcreteTensor, refined_decomposition
 
 P = Partition
@@ -27,7 +27,7 @@ def _instances():
         SquareClassFormula(formula.factors, Poly((0, 1))),
         gram_block(P((2, 1)), (1, 1, 1)),
         symmetrization_determinant(P((2, 1))),
-        determinant_classes([P((2, 1))])[0],
+        determinant_class(P((2, 1))),
         ConcreteTensor(2, 3, {(1, 2): Fraction(1, 2)}),
         refined.constituents[0],
         refined,
