@@ -18,11 +18,14 @@ Main entry points
 - :func:`symdet.gram.symmetrization_determinant` (every Gram block of one shape)
 - :func:`symdet.gram.determinant_class` (reduced class and dimension only)
 - :func:`symdet.gram.gram_block`
-- :func:`symdet.gram.closed_form_c`
 - :func:`symdet.refined.refined_decomposition`
 - :func:`symdet.refined.constituent_poly`
 - :func:`symdet.golden.load_golden` / verification helpers
 - ``symdet`` CLI (see :mod:`symdet.cli`)
+
+The paper's closed forms for the single row, the single column and the
+hooks (2,1^(n-2)) and (3,1^(n-3)) serve as test oracles only, and live
+with the tableau counters in ``tests/reference.py``.
 """
 
 _EXPORTS = {
@@ -30,14 +33,12 @@ _EXPORTS = {
     "Partition": "combinat",
     "Poly": "exact",
     "SquareClassFormula": "exact",
-    "closed_form_c": "gram",
     "compositions_of": "combinat",
     "constituent_gram": "refined",
     "constituent_poly": "refined",
     "determinant_class": "gram",
     "dimension_poly": "combinat",
     "gram_block": "gram",
-    "hook_block_det": "gram",
     "partitions_of": "combinat",
     "phi_insert": "refined",
     "pi_contract": "refined",

@@ -27,23 +27,35 @@ from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, determinant_class, symm
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse ``3,1,1`` or ``3,1^2`` (caret repeats a part), at most MAX_SYM_N parts."""
+    """Parse ``3,1,1`` or ``3,1^2`` (caret repeats a part), at most MAX_SYM_N parts.
+
+    Every part and repeat count is written in ASCII decimal digits only,
+    as the numbers of a golden matrix key are, so ``+2``, ``1_0`` and a
+    fullwidth digit are errors; whitespace around a number is not.
+    """
     parts: list[int] = []
     for chunk in text.split(","):
-        chunk = chunk.strip()
         if "^" in chunk:
             base_s, _, count_s = chunk.partition("^")
-            base, count = int(base_s), int(count_s)
+            base, count = _decimal(base_s), _decimal(count_s)
             if not 1 <= count <= MAX_SYM_N:
                 raise ValueError(f"repeat count must be between 1 and {MAX_SYM_N}")
             parts.extend([base] * count)
         else:
-            parts.append(int(chunk))
+            parts.append(_decimal(chunk))
         if len(parts) > MAX_SYM_N:
             raise ValueError(f"more than {MAX_SYM_N} parts")
     if not parts or any(p <= 0 for p in parts):
         raise ValueError("parts must be positive integers")
     return Partition(parts)
+
+
+def _decimal(text: str) -> int:
+    """``text``, stripped, as a number written in ASCII decimal digits only."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a number in decimal digits")
+    return int(text)
 
 
 def _poly_json(p: Poly, display: str | None = None) -> dict:

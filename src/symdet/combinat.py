@@ -253,22 +253,3 @@ def detb_exponent(shape: Partition) -> Poly:
     """n * dim / N, the exponent of det(B); N divides dim as box (1,1) has content 0."""
     return Poly(shape.n * c for c in dimension_poly(shape).coeffs[1:])
 
-
-def standard_tableau_count(shape: Partition) -> int:
-    """Number of standard fillings, by the hook length formula."""
-    hooks = math.prod(hook for _, hook in _content_and_hook(shape))
-    return math.factorial(shape.n) // hooks
-
-
-def enumerate_ssyt(shape: Partition, max_letter: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Direct enumeration of all SSYT with entries in 1..max_letter."""
-    out = []
-    for pattern in patterns_of(shape):
-        k = len(pattern)
-        if k > max_letter:
-            continue
-        for tab in ssyt_with_pattern(shape, pattern):
-            for letters in itertools.combinations(range(1, max_letter + 1), k):
-                relabel = {i + 1: letters[i] for i in range(k)}
-                out.append(tuple(tuple(relabel[x] for x in row) for row in tab))
-    return out

@@ -36,7 +36,6 @@ from operator import xor
 from .combinat import (
     Partition,
     Pattern,
-    compositions_of,
     detb_exponent,
     dimension_poly,
     patterns_of,
@@ -270,73 +269,3 @@ def _norm_step(row: tuple[int, ...], below: tuple[int, ...]) -> int:
             mask ^= _FACT[ls[i] - ls[j] - 1] ^ _FACT[k_i - ls[j] - 1]
     return mask
 
-
-# ---------------------------------------------------------------------------
-# closed forms for the four infinite families
-# ---------------------------------------------------------------------------
-
-
-def closed_form_c(shape: Partition) -> SquareClassFormula | None:
-    """Unreduced closed form of the determinant class, when one is known.
-
-    Covers the single row, the single column, and the two near-column
-    hooks (2,1,..,1) and (3,1,..,1); returns None for other shapes.
-    """
-    parts = shape.parts
-    n = shape.n
-    if len(parts) == 1:
-        return _closed_row(n)
-    if all(p == 1 for p in parts):
-        return SquareClassFormula.product([(math.factorial(n), Binomials.unit(n))])
-    if parts[0] == 2 and all(p == 1 for p in parts[1:]):
-        return _closed_two_hook(n)
-    if parts[0] == 3 and all(p == 1 for p in parts[1:]):
-        return _closed_three_hook(n)
-    return None
-
-
-def _closed_row(n: int) -> SquareClassFormula:
-    # product over compositions of the multinomial, per k-block
-    return SquareClassFormula.product(
-        (math.factorial(n) // math.prod(map(math.factorial, comp)), Binomials.unit(len(comp)))
-        for comp in compositions_of(n)
-    )
-
-
-def _closed_two_hook(n: int) -> SquareClassFormula:
-    # n^C(N,n) * ((n-1)!)^((n-1) * C(N+1,n))
-    cn = Binomials.unit(n)
-    cn1 = Binomials.unit(n - 1)
-    return SquareClassFormula.product([(n, cn), (math.factorial(n - 1), (cn + cn1) * (n - 1))])
-
-
-def _closed_three_hook(n: int) -> SquareClassFormula:
-    # (n-2)!^x * 2^y * n^z assembled from the per-pattern contributions:
-    #   one letter tripled              -> (n-2)!            size 1
-    #   two letters doubled             -> 2*(n-2)!          size 1
-    #   one of n-1 letters doubled      -> det (n-2)!^(n-2) * 2^(n-3) * n
-    #   all letters distinct            -> det (2(n-2)!)^C(n-1,2) * n^(n-2)
-    cn = Binomials.unit(n)
-    cn1 = Binomials.unit(n - 1)
-    cn2 = Binomials.unit(n - 2)
-    half = math.comb(n - 1, 2)
-    x = (cn2 + cn) * half + cn1 * ((n - 1) * (n - 2))
-    y = cn2 * math.comb(n - 2, 2) + cn1 * ((n - 1) * (n - 3)) + cn * half
-    z = cn1 * (n - 1) + cn * (n - 2)
-    return SquareClassFormula.product([(math.factorial(n - 2), x), (2, y), (n, z)])
-
-
-def hook_block_det(n: int, ell: int) -> int:
-    """Determinant of the multiplicity-free block of the hook (ell, 1^(n-ell)).
-
-    The block is the Gram matrix of the C(n-1, ell-1) tableaux on a
-    content of n distinct letters; rescaling by the off-diagonal value
-    identifies it with an exterior power of the I+J lattice of rank n-1,
-    whose determinant is n^C(n-2, ell-2).
-    """
-    if not 1 <= ell <= n:
-        raise ValueError("need 1 <= ell <= n")
-    base = math.factorial(ell - 1) * math.factorial(n - ell + 1)
-    size_exp = math.comb(n - 1, ell - 1)
-    n_exp = math.comb(n - 2, ell - 2) if ell >= 2 else 0
-    return base**size_exp * n**n_exp

@@ -21,14 +21,12 @@ from symdet.combinat import (
     Partition,
     compositions_of,
     dimension_poly,
-    enumerate_ssyt,
     partitions_of,
     ssyt_with_pattern,
-    standard_tableau_count,
 )
 from symdet.exact import Binomials, Poly, poly_factor_rational
 from symdet.golden import load_golden, verify_refined
-from symdet.gram import closed_form_c, gram_block, symmetrization_determinant
+from symdet.gram import gram_block, symmetrization_determinant
 from symdet.refined import (
     ConcreteTensor,
     constituent_poly,
@@ -37,6 +35,8 @@ from symdet.refined import (
     refined_decomposition,
 )
 from symdet.symmetrizer import column_sum, row_sum, symmetrize
+
+from reference import _fraction_det, closed_form_c, enumerate_ssyt, standard_tableau_count
 
 P = Partition
 GOLDEN = load_golden()
@@ -252,27 +252,6 @@ def _fraction_rref_kernel(rows, ncols):
             vec[pc] = -m[i][fc]
         basis.append(vec)
     return basis
-
-
-def _fraction_det(matrix):
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] == 0:
-                continue
-            f = m[i][k] * inv
-            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
 
 
 def _form(u, v, diag):

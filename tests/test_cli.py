@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import shlex
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from symdet.cli import main, parse_partition
+from symdet.cli import build_parser, main, parse_partition
 from symdet.combinat import Partition, partitions_of, patterns_of
 from symdet.gram import gram_block
 
@@ -15,6 +17,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _readme_cli_lines() -> list[str]:
+    """Each ``symdet ...`` line of the code block under README's CLI heading."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    begin = lines.index("```", lines.index("## CLI")) + 1
+    return [line for line in lines[begin:lines.index("```", begin)] if line.startswith("symdet ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 6
+    rejected = []
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            rejected.append(line)
+    assert not rejected, rejected
 
 
 def _edited_golden(edit):
@@ -56,6 +77,21 @@ class TestPartitionParsing:
         assert parse_partition("1^9") == Partition((1,) * 9)
         with pytest.raises(ValueError, match="more than 9 parts"):
             parse_partition("1^9,1")
+
+    def test_repeat_count_limit_is_exact(self):
+        # 2^10 would also overrun the part count, so the message names which check fired
+        assert parse_partition("2^9") == Partition((2,) * 9)
+        for text in ("2^10", "3,2^0"):
+            with pytest.raises(ValueError, match="repeat count"):
+                parse_partition(text)
+
+    @pytest.mark.parametrize("text", ["+2", "1_0", "\uff13", "2^+1", "2^1_0"])  # \uff13: a fullwidth 3
+    def test_parts_and_counts_are_ascii_decimal(self, text):
+        with pytest.raises(ValueError, match="decimal digits"):
+            parse_partition(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["sym", text])
+        assert exc.value.code == 2
 
 
 class TestSymCommand:
@@ -128,6 +164,11 @@ class TestTableCommand:
     def test_beyond_supported_degree(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--n", "17"])
+        assert exc.value.code == 2
+
+    def test_below_supported_degree(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--n", "1"])
         assert exc.value.code == 2
 
     def test_builds_no_block(self, capsys, monkeypatch):

@@ -10,14 +10,14 @@ from symdet.combinat import (
     compositions_of,
     dimension_poly,
     dimension_str,
-    enumerate_ssyt,
     littlewood_multiplicity,
     lr_coefficient,
     partitions_of,
     ssyt_with_pattern,
-    standard_tableau_count,
 )
 from symdet.exact import Poly
+
+from reference import enumerate_ssyt, standard_tableau_count
 
 
 class TestPartitions:

@@ -18,6 +18,8 @@ from symdet.exact import (
     squarefree_part,
 )
 
+from reference import _fraction_det
+
 
 class TestSquarefreePart:
     def test_perfect_square(self):
@@ -460,24 +462,3 @@ class TestLinearAlgebra:
         assert poly_matrix_det([[n]]) == n
         assert poly_matrix_det([[Poly()]]) == Poly()
         assert poly_matrix_det([]) == Poly.const(1)
-
-
-def _fraction_det(rows):
-    n = len(rows)
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    num = det
-    assert num.denominator == 1
-    return num.numerator

@@ -2,8 +2,9 @@ import json
 import math
 from importlib import resources
 
-from symdet.golden import load_golden
-from symdet.gram import symmetrization_determinant
+from symdet.combinat import Partition
+from symdet.golden import _matrix_matches_up_to_order, load_golden
+from symdet.gram import gram_block, symmetrization_determinant
 
 
 def _drop_one_k(row):
@@ -28,3 +29,12 @@ def test_sym_row_classes_match_engine_and_detect_a_dropped_k(tmp_path):
         assert row.c_reduced == engine, row.shape
         assert dropped_row.shape == row.shape
         assert dropped_row.c_reduced != engine, row.shape
+
+
+def test_basis_order_is_free_up_to_the_reorder_size():
+    # a golden block of 4 tableaux may list them in any order, one of 5 only in the engine's
+    for shape, pattern, size, matches in (((5, 1), (1, 2, 1, 1, 1), 4, True), ((3, 2), (1,) * 5, 5, False)):
+        got = gram_block(Partition(shape), pattern).matrix
+        reversed_order = tuple(row[::-1] for row in got[::-1])
+        assert len(got) == size and reversed_order != got
+        assert _matrix_matches_up_to_order(got, reversed_order) is matches, shape

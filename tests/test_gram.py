@@ -7,7 +7,6 @@ from symdet.combinat import (
     Partition,
     compositions_of,
     dimension_poly,
-    enumerate_ssyt,
     partitions_of,
     patterns_of,
     ssyt_with_pattern,
@@ -17,13 +16,13 @@ from symdet.gram import (
     MAX_TABLE_N,
     NoTableauxError,
     _below,
-    closed_form_c,
     determinant_class,
     gram_block,
-    hook_block_det,
     symmetrization_determinant,
 )
 from symdet.symmetrizer import _column_group, symmetrize
+
+from reference import closed_form_c, enumerate_ssyt, hook_block_det
 
 P = Partition
 

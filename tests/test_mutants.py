@@ -93,6 +93,61 @@ MUTANTS = [
         "if not math.comb(k, i) % 2",
         "tests/test_jantzen.py::test_determinant_class_matches_jantzen_to_weight_twelve",
     ),
+    (
+        "cli.py",
+        'if args.command == "sym" and args.partition.n > MAX_SYM_N:',
+        'if args.command == "sym" and args.partition.n > MAX_SYM_N + 1:',
+        "tests/test_cli.py::TestSymCommand::test_beyond_supported_degree",
+    ),
+    (
+        # refined_decomposition then raises its own ValueError, not the usage error
+        "cli.py",
+        'if args.command == "refined" and args.partition.n > MAX_REFINED_N:',
+        'if args.command == "refined" and args.partition.n > MAX_REFINED_N + 1:',
+        "tests/test_cli.py::TestRefinedCommand::test_unsupported_weight",
+    ),
+    (
+        "cli.py",
+        "not 2 <= args.n <= MAX_TABLE_N:",
+        "not 2 <= args.n <= MAX_TABLE_N + 1:",
+        "tests/test_cli.py::TestTableCommand::test_beyond_supported_degree",
+    ),
+    (
+        "cli.py",
+        "not 2 <= args.n <= MAX_TABLE_N:",
+        "not 1 <= args.n <= MAX_TABLE_N:",
+        "tests/test_cli.py::TestTableCommand::test_below_supported_degree",
+    ),
+    (
+        "cli.py",
+        "if not 1 <= count <= MAX_SYM_N:",
+        "if not 1 <= count <= MAX_SYM_N + 1:",
+        "tests/test_cli.py::TestPartitionParsing::test_repeat_count_limit_is_exact",
+    ),
+    (
+        "cli.py",
+        "if not 1 <= count <= MAX_SYM_N:",
+        "if not 0 <= count <= MAX_SYM_N:",
+        "tests/test_cli.py::TestPartitionParsing::test_repeat_count_limit_is_exact",
+    ),
+    (
+        "cli.py",
+        "if args.jobs < 1:",
+        "if args.jobs < 0:",
+        "tests/test_cli.py::TestSymCommand::test_jobs_must_be_positive[0]",
+    ),
+    (
+        "golden.py",
+        "MAX_REORDER_SIZE = 4",
+        "MAX_REORDER_SIZE = 3",
+        "tests/test_golden.py::test_basis_order_is_free_up_to_the_reorder_size",
+    ),
+    (
+        "golden.py",
+        "MAX_REORDER_SIZE = 4",
+        "MAX_REORDER_SIZE = 5",
+        "tests/test_golden.py::test_basis_order_is_free_up_to_the_reorder_size",
+    ),
 ]
 
 # (file under src/symdet, old text, new text, why no test can catch it)

@@ -16,7 +16,7 @@ import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(path for top in ("src", "tests", "scripts") for path in (ROOT / top).rglob("*.py"))
+SOURCES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
 MODULE_ATTRIBUTES = {
     "__builtins__", "__doc__", "__file__", "__loader__", "__name__", "__package__", "__path__", "__spec__"
 }
@@ -139,7 +139,7 @@ def test_every_definition_is_read():
             "class Dead:\n    def used(self):\n        return self.used\n"
         ),
         "tests/t.py": "from symdet.m import recursive as r\n\nr(2)\n",
-        "scripts/s.py": "import symdet.m\n\nsymdet.m.Dead = None\n",
+        "tests/s.py": "import symdet.m\n\nsymdet.m.Dead = None\n",
     }
     assert _unread_definitions(slip) == ["src/symdet/m.py: Dead"]
     slip["tests/t.py"] = "import symdet.m\n\nsymdet.m.recursive(2)\n"

@@ -9,7 +9,6 @@ from symdet.combinat import (
     compositions_of,
     partitions_of,
     ssyt_with_pattern,
-    standard_tableau_count,
 )
 from symdet.symmetrizer import (
     _orderings,
@@ -19,6 +18,8 @@ from symdet.symmetrizer import (
     row_sum,
     symmetrize,
 )
+
+from reference import standard_tableau_count
 
 
 def _sym(shape_parts, word):
