@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .combinat import Partition, dimension_str, partitions_of
+from .combinat import Partition, dimension_str, partitions_of, read_decimal
 from .exact import Poly, SquareClassFormula
 from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, determinant_class, symmetrization_determinant
 
@@ -29,9 +29,9 @@ from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, determinant_class, symm
 def parse_partition(text: str) -> Partition:
     """Parse ``3,1,1`` or ``3,1^2`` (caret repeats a part), at most MAX_SYM_N parts.
 
-    Every part and repeat count is written in ASCII decimal digits only,
-    as the numbers of a golden matrix key are, so ``+2``, ``1_0`` and a
-    fullwidth digit are errors; whitespace around a number is not.
+    Every part and repeat count is read by :func:`_decimal`, as
+    ``table --n`` and ``--jobs`` are, so ``+2``, ``1_0`` and a fullwidth
+    digit are errors; whitespace around a number is not.
     """
     parts: list[int] = []
     for chunk in text.split(","):
@@ -45,17 +45,12 @@ def parse_partition(text: str) -> Partition:
             parts.append(_decimal(chunk))
         if len(parts) > MAX_SYM_N:
             raise ValueError(f"more than {MAX_SYM_N} parts")
-    if not parts or any(p <= 0 for p in parts):
-        raise ValueError("parts must be positive integers")
     return Partition(parts)
 
 
 def _decimal(text: str) -> int:
-    """``text``, stripped, as a number written in ASCII decimal digits only."""
-    text = text.strip()
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{text!r} is not a number in decimal digits")
-    return int(text)
+    """``text``, stripped, read by ``read_decimal``: the one rule for a number on the command line."""
+    return read_decimal(text.strip())
 
 
 def _poly_json(p: Poly, display: str | None = None) -> dict:
@@ -256,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_decimal, default=1,
         help="parallel workers for the Gram blocks of sym (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym.set_defaults(run=cmd_sym)
 
     p_table = sub.add_parser("table", help="table of all shapes up to a weight")
-    p_table.add_argument("--n", type=int, required=True, metavar="K")
+    p_table.add_argument("--n", type=_decimal, required=True, metavar="K")
     p_table.set_defaults(run=cmd_table)
 
     p_ref = sub.add_parser("refined", help="refined orthogonal decomposition")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -24,6 +25,13 @@ from typing import Mapping
 from .exact import Poly, Value, factored_display
 
 Pattern = tuple[int, ...]  # letter multiplicities in increasing letter order
+
+
+def read_decimal(text: str) -> int:
+    """The number ``text`` writes in ASCII decimal digits only: no sign, underscore or space."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a number in decimal digits")
+    return int(text)
 
 
 @total_ordering
@@ -36,7 +44,7 @@ class Partition(Value):
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         if any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -18,7 +18,7 @@ import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
-from .combinat import Partition, partitions_of, patterns_of
+from .combinat import Partition, partitions_of, patterns_of, read_decimal
 from .exact import Binomials, Poly, SquareClassFormula, Value
 from .gram import MAX_REFINED_N, MAX_SYM_N, MAX_TABLE_N, DetClass, determinant_class, gram_block
 from .refined import refined_decomposition
@@ -83,11 +83,8 @@ def _poly_from_roots(scale: Fraction | int, roots: list[int], most: int) -> Poly
 
 
 def _key_numbers(text: str) -> tuple[int, ...]:
-    """The comma-separated numbers of one half of a matrix key, each in ASCII decimal digits."""
-    numbers = text.split(",")
-    if not all(x.isascii() and x.isdigit() for x in numbers):
-        raise ValueError(f"{text!r} is not a comma-separated list of decimal numbers")
-    return tuple(map(int, numbers))
+    """The comma-separated numbers of one half of a matrix key, each read by ``read_decimal``."""
+    return tuple(map(read_decimal, text.split(",")))
 
 
 def _class_formula(det_class: list, n: int) -> SquareClassFormula:

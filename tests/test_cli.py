@@ -38,6 +38,10 @@ def test_readme_cli_lines_parse():
     assert not rejected, rejected
 
 
+# a sign, an underscore and non-ASCII digits: \u0667 is an Arabic-Indic 7, \uff13 a fullwidth 3
+NOT_DECIMAL = ["+3", "0_3", "\u0667", "\uff13", "1_0"]
+
+
 def _edited_golden(edit):
     doc = json.loads(resources.files("symdet.data").joinpath("golden.json").read_text())
     edit(doc)
@@ -131,12 +135,19 @@ class TestSymCommand:
             main(["sym", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("jobs", ["0"])  # "-1" is no decimal number: see test_jobs_are_ascii_decimal
     def test_jobs_must_be_positive(self, capsys, jobs):
         with pytest.raises(SystemExit) as exc:
             main(["--jobs", jobs, "sym", "2,1"])
         assert exc.value.code == 2
         assert "--jobs must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", NOT_DECIMAL + ["-1"])
+    def test_jobs_are_ascii_decimal(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", jobs, "sym", "2,1"])
+        assert exc.value.code == 2
+        assert "decimal" in capsys.readouterr().err
 
     def test_latex(self, capsys):
         code, out = run(capsys, "--jobs", "1", "--format", "latex", "sym", "2,1")
@@ -170,6 +181,18 @@ class TestTableCommand:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--n", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n", NOT_DECIMAL)
+    def test_n_is_ascii_decimal(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--n", n])
+        assert exc.value.code == 2
+        assert "decimal" in capsys.readouterr().err
+
+    def test_whitespace_around_n_is_allowed(self, capsys):
+        # as around the numbers of a partition
+        padded = run(capsys, "--jobs", "1", "table", "--n", " 7")
+        assert padded == run(capsys, "--jobs", "1", "table", "--n", "7")
 
     def test_builds_no_block(self, capsys, monkeypatch):
         def forbidden(*args):

@@ -13,6 +13,7 @@ from symdet.combinat import (
     littlewood_multiplicity,
     lr_coefficient,
     partitions_of,
+    read_decimal,
     ssyt_with_pattern,
 )
 from symdet.exact import Poly
@@ -42,9 +43,31 @@ class TestPartitions:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize("parts", [(2.9, 1), ("3",), (Fraction(3),)], ids=["float", "string", "fraction"])
+    def test_parts_are_integers(self, parts):
+        # int() would truncate 2.9 to 2 and parse "3"; a part must already be an integer
+        with pytest.raises(TypeError):
+            Partition(parts)
+
     def test_conjugate(self):
         assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
         assert Partition((2, 2)).conjugate() == Partition((2, 2))
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="0123456789", max_size=30),
+        st.text(alphabet="0123456789+-_ .\u0667\uff13\u00b2", max_size=8),
+        st.text(max_size=8),
+    )
+)
+def test_read_decimal_accepts_exactly_ascii_digits(text):
+    # \u0667 is an Arabic-Indic 7, \uff13 a fullwidth 3 and \u00b2 a superscript 2
+    if text and all(c in "0123456789" for c in text):
+        assert read_decimal(text) == int(text)
+    else:
+        with pytest.raises(ValueError, match="decimal digits"):
+            read_decimal(text)
 
 
 class TestCompositions:

@@ -230,14 +230,13 @@ class TestSymmetrizationDeterminant:
 
 
 class TestDeterminantClasses:
-    @pytest.mark.parametrize("oracle_jobs", [1, 2])
-    def test_matches_the_all_block_product(self, oracle_jobs):
+    def test_matches_the_all_block_product(self):
         shapes = [s for n in range(2, 8) for s in partitions_of(n)]
         shapes += [P((4, 4)), P((3, 3, 2)), P((2,) + (1,) * 6)]
         results = [determinant_class(shape) for shape in shapes]
         assert [r.shape for r in results] == shapes
         for shape, result in zip(shapes, results):
-            full = symmetrization_determinant(shape, jobs=oracle_jobs)
+            full = symmetrization_determinant(shape, jobs=1)
             assert result.c_reduced.reduced() == full.c_formula.reduced(), shape
             assert _class_json(result.c_reduced) == _class_json(full.c_formula.reduced()), shape
             assert result.dimension == full.dimension, shape

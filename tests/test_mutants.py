@@ -148,6 +148,42 @@ MUTANTS = [
         "MAX_REORDER_SIZE = 5",
         "tests/test_golden.py::test_basis_order_is_free_up_to_the_reorder_size",
     ),
+    (
+        # the matrix content multiplied back once too few times
+        "exact.py",
+        "return g ** len(matrix) * prev",
+        "return g ** (len(matrix) - 1) * prev",
+        "tests/test_jantzen.py::test_block_determinants_match_jantzen_to_weight_eight",
+    ),
+    (
+        # every closed strand of dummies counted one short
+        "refined.py",
+        "counts[2 * j - len(root)]",
+        "counts[max(0, 2 * j - len(root) - 1)]",
+        "tests/test_refined.py::TestSymbolicAgainstConcrete::test_named_couplings[(4,2)-(2)]",
+    ),
+    (
+        # deltas with even columns, the symplectic rule: (2) then has no constituent ()
+        "combinat.py",
+        "Partition(2 * p for p in half)",
+        "Partition(2 * p for p in half).conjugate()",
+        "tests/test_refined.py::TestRefinedDecomposition::test_dimension_matches_el_samra_king[(2)]",
+    ),
+    (
+        # dim / N: the pinned (2,1) exponent fails first, and without it the dense
+        # oracle's stretched-direction runs fail on 10 of the 40 weight-2..4 runs
+        "combinat.py",
+        "shape.n * c",
+        "c",
+        "tests/test_acceptance.py::test_criterion_6_refined_determinant",
+    ),
+    (
+        # a fullwidth digit is a digit to str.isdigit, and int() reads it
+        "combinat.py",
+        "text.isascii() and text.isdigit()",
+        "text.isdigit()",
+        "tests/test_cli.py::TestTableCommand::test_n_is_ascii_decimal[\\uff13]",
+    ),
 ]
 
 # (file under src/symdet, old text, new text, why no test can catch it)
