@@ -53,6 +53,14 @@ def _decimal(text: str) -> int:
     return read_decimal(text.strip())
 
 
+def _decimal_option(text: str) -> int:
+    """:func:`_decimal` as an option's type: argparse prints its message, not this function's name."""
+    try:
+        return _decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _poly_json(p: Poly, display: str | None = None) -> dict:
     """Coefficients and display of ``p``; ``display`` stands in for ``p.factored_str()``."""
     return {
@@ -61,15 +69,23 @@ def _poly_json(p: Poly, display: str | None = None) -> dict:
     }
 
 
-def _class_json(f: SquareClassFormula) -> dict:
-    """A square-class formula, each exponent as its ``{k: coeff}`` of C(N,k)."""
+def _det_b(exponent: Poly) -> str:
+    """det(B) to a polynomial power: the one place that writes det(B)."""
+    return "det(B)" if exponent == Poly.const(1) else f"det(B)^({exponent})"
+
+
+def _class_json(f: SquareClassFormula, detB: Poly = Poly()) -> dict:
+    """``f * det(B)^detB``, each exponent of ``f`` as its ``{k: coeff}`` of C(N,k)."""
+    display = f.render_text()
+    if detB:
+        display = f"{display} * {_det_b(detB)}" if f.factors else _det_b(detB)
     return {
         "factors": [
             {"base": str(b), "exponent_binomials": {str(k): str(a) for k, a in enumerate(e.coeffs) if a}}
             for b, e in f.factors.items()
         ],
-        "detB_exponent": str(f.detB_exponent),
-        "display": f.render_text(),
+        "detB_exponent": str(detB),
+        "display": display,
         "unreduced": False,  # fixed schema field: every factor is a prime or linear
     }
 
@@ -114,7 +130,7 @@ def cmd_sym(args: argparse.Namespace) -> tuple:
             lines += ["    [" + " ".join(f"{v:>6}" for v in row) + "]" for row in b["matrix"]]
         lines.append(f"c (exact) = {payload['c_exact']['display']}")
         lines.append(f"c = {c['display']}")
-        lines.append(f"det = {c['display']} * det(B)^({payload['detB_exponent']})")
+        lines.append(f"det = {c['display']} * {_det_b(result.detB_exponent)}")
         return "\n".join(lines)
 
     def latex() -> str:
@@ -187,7 +203,7 @@ def cmd_refined(args: argparse.Namespace) -> tuple:
         "n": shape.n,
         "constituents": constituents,
         "refined_dimension": _poly_json(result.refined_dimension),
-        "refined_det": _class_json(result.refined_det),
+        "refined_det": _class_json(result.refined_det, result.detB_exponent),
     }
 
     def text() -> str:
@@ -251,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     parser.add_argument(
-        "--jobs", type=_decimal, default=1,
+        "--jobs", type=_decimal_option, default=1,
         help="parallel workers for the Gram blocks of sym (default: 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -261,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym.set_defaults(run=cmd_sym)
 
     p_table = sub.add_parser("table", help="table of all shapes up to a weight")
-    p_table.add_argument("--n", type=_decimal, required=True, metavar="K")
+    p_table.add_argument("--n", type=_decimal_option, required=True, metavar="K")
     p_table.set_defaults(run=cmd_table)
 
     p_ref = sub.add_parser("refined", help="refined orthogonal decomposition")

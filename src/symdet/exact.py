@@ -479,50 +479,44 @@ def _base_str(base: "int | Poly") -> str:
 
 
 class SquareClassFormula(Value):
-    """A product ``prod base^exponent(N) * det(B)^detB_exponent(N)``.
+    """A product ``prod base^exponent(N)``.
 
     One table, ``factors``, holds every base with its exponent: primes
     ascending, then the linear :class:`Poly` bases q*N - r (q > 0,
     gcd(q, r) = 1) by their coefficients.  Exponents are integer
-    combinations of C(N,k) (:class:`Binomials`); the det(B) exponent is a
-    polynomial in N.  A formula is immutable (its table is a read-only
-    copy), and two classes are equal when their :meth:`reduced` forms
-    compare ``==``.
+    combinations of C(N,k) (:class:`Binomials`).  A formula is immutable
+    (its table is a read-only copy), and two classes are equal when their
+    :meth:`reduced` forms compare ``==``.
     """
 
-    __slots__ = ("factors", "detB_exponent")
+    __slots__ = ("factors",)
 
-    def __init__(
-        self,
-        factors: Mapping[int | Poly, Binomials] = MappingProxyType({}),
-        detB_exponent: Poly = Poly(),
-    ):
+    def __init__(self, factors: Mapping[int | Poly, Binomials] = MappingProxyType({})):
         order = sorted(factors, key=lambda b: (1, b.coeffs) if isinstance(b, Poly) else (0, b))
-        super().__init__(MappingProxyType({b: factors[b] for b in order}), detB_exponent)
+        super().__init__(MappingProxyType({b: factors[b] for b in order}))
 
     def __reduce__(self):
-        return SquareClassFormula, (dict(self.factors), self.detB_exponent)
+        return SquareClassFormula, (dict(self.factors),)
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def product(
         terms: Iterable[tuple["Rat | Poly | SquareClassFormula", "Binomials | int"]],
-        detB_exponent: Poly = Poly(),
     ) -> "SquareClassFormula":
-        """prod value^exponent over ``terms``, times det(B)^detB_exponent.
+        """prod value^exponent over ``terms``.
 
         A value is a positive rational, whose primes go in; a :class:`Poly`,
         whose content goes in as primes and whose rational linear factors
-        become polynomial bases; or a formula, whose factors and det(B)
-        exponent go in times an integer power.  A rational or polynomial
-        value takes a :class:`Binomials` exponent, and so does a formula
-        whose every exponent is a constant and which has no det(B) factor;
-        any other formula with a :class:`Binomials` exponent raises
-        ValueError.  Every exponent is added into one table, and zero
-        exponents drop out at the end.  A polynomial that does not split
-        into rational linear factors raises ArithmeticError: its class
-        would need a square-free decomposition this engine does not make.
+        become polynomial bases; or a formula, whose factors go in times
+        its power.  A rational or polynomial value takes a
+        :class:`Binomials` exponent, and so does a formula whose every
+        exponent is a constant; any other formula with a
+        :class:`Binomials` exponent raises ValueError.  Every exponent is
+        added into one table, and zero exponents drop out at the end.  A
+        polynomial that does not split into rational linear factors
+        raises ArithmeticError: its class would need a square-free
+        decomposition this engine does not make.
         """
         table: dict[int | Poly, Binomials] = {}
 
@@ -534,8 +528,7 @@ class SquareClassFormula(Value):
                 if not isinstance(exponent, Binomials):
                     for base, e in value.factors.items():
                         add(base, e * exponent)
-                    detB_exponent = detB_exponent + value.detB_exponent * exponent
-                elif value.detB_exponent or any(len(e.coeffs) > 1 for e in value.factors.values()):
+                elif any(len(e.coeffs) > 1 for e in value.factors.values()):
                     raise ValueError(f"{value.render_text()} has no power {_exponent_str(exponent)}")
                 else:
                     for base, e in value.factors.items():
@@ -557,30 +550,19 @@ class SquareClassFormula(Value):
                 add(p, exponent * e)
             for p, e in factorint(content.denominator).items():
                 add(p, exponent * -e)
-        return SquareClassFormula({b: e for b, e in table.items() if e}, detB_exponent)
+        return SquareClassFormula({b: e for b, e in table.items() if e})
 
     # -- reduction -----------------------------------------------------------
 
     def reduced(self) -> "SquareClassFormula":
-        """Canonical square-class form.
-
-        Every binomial coefficient of every factor exponent is reduced
-        mod 2 to {0,1}.  The det(B) exponent is exact bookkeeping and is
-        left untouched.
-        """
-        return SquareClassFormula(
-            {b: r for b, e in self.factors.items() if (r := e.mod2())},
-            self.detB_exponent,
-        )
+        """Canonical square-class form: every binomial coefficient of every exponent mod 2."""
+        return SquareClassFormula({b: r for b, e in self.factors.items() if (r := e.mod2())})
 
     def value(self) -> Poly:
         """The product as a polynomial, e.g. a reduced class of one polynomial value.
 
-        Raises ValueError unless every exponent is a constant >= 0 and
-        there is no det(B) factor.
+        Raises ValueError unless every exponent is a constant >= 0.
         """
-        if self.detB_exponent:
-            raise ValueError("a det(B) factor has no polynomial value")
         out = Poly.const(1)
         for base, e in self.factors.items():
             if len(e.coeffs) > 1 or e.coeffs[0] < 0:
@@ -589,7 +571,7 @@ class SquareClassFormula(Value):
         return out
 
     def evaluate_class(self, n_value: int) -> int:
-        """Squarefree representative at a concrete N (det(B) excluded)."""
+        """Squarefree representative at a concrete N."""
         acc = Fraction(1)
         for base, e in self.factors.items():
             if e(n_value) % 2:
@@ -603,9 +585,6 @@ class SquareClassFormula(Value):
 
     def render_text(self) -> str:
         parts = [_render_power(_base_str(b), e) for b, e in self.factors.items()]
-        if self.detB_exponent:
-            es = str(self.detB_exponent)
-            parts.append("det(B)" if es == "1" else f"det(B)^({es})")
         return " * ".join(parts) if parts else "1"
 
     def render_latex(self) -> str:
@@ -613,8 +592,6 @@ class SquareClassFormula(Value):
             f"{_base_str(b)}^{{{_exponent_str(e, _LATEX_BINOM, '')}}}"
             for b, e in self.factors.items()
         ]
-        if self.detB_exponent:
-            parts.append(f"\\det(B)^{{{self.detB_exponent}}}")
         return " ".join(parts) if parts else "1"
 
 

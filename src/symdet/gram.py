@@ -159,15 +159,15 @@ class DetClass(Value):
 
 
 def symmetrization_determinant(shape: Partition, jobs: int = 1) -> SymDetResult:
-    """Every Gram block of one shape and the exact determinant formula.
+    """Every Gram block and the exact determinant formula of one shape, 1 <= n <= MAX_SYM_N.
 
     The blocks are built serially when min(jobs, cores, patterns) is 1,
     as it is at the default jobs = 1, and otherwise go to one pool of
     that many workers; either way they keep the order of
     ``patterns_of``, and det(block)^C(N,k) is multiplied in it.
     """
-    if shape.n < 1:
-        raise ValueError("need a partition of n >= 1")
+    if not 1 <= shape.n <= MAX_SYM_N:
+        raise ValueError(f"symmetrization determinants need a partition of 1 <= n <= {MAX_SYM_N}")
     patterns = patterns_of(shape)
     workers = min(jobs, os.cpu_count() or 1, len(patterns))
     if workers > 1:

@@ -340,10 +340,11 @@ class RefinedResult(Value):
     """Constituents, refined dimension and refined determinant of one shape.
 
     Fields: shape: Partition, constituents: tuple[RefinedConstituent, ...], refined_dimension:
-    Poly, refined_det: SquareClassFormula (class modulo squares, reduced).
+    Poly, refined_det: SquareClassFormula (class modulo squares, reduced), detB_exponent: Poly
+    (the refined determinant is refined_det * det(B)^detB_exponent).
     """
 
-    __slots__ = ("shape", "constituents", "refined_dimension", "refined_det")
+    __slots__ = ("shape", "constituents", "refined_dimension", "refined_det", "detB_exponent")
 
 
 @lru_cache(maxsize=None)
@@ -353,13 +354,15 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
     The refined dimension subtracts every coupled copy recursively; the
     refined determinant divides the full determinant class by each
     coupling determinant (raised to the copy's dimension) and each
-    copy's refined determinant (raised to the multiplicity).
+    copy's refined determinant (raised to the multiplicity), and its
+    det(B) exponent is the full one less each copy's times the
+    multiplicity.
     """
     n = shape.n
     if n > MAX_REFINED_N:
         raise ValueError(f"refined decomposition supported for n <= {MAX_REFINED_N}")
     if n == 0:
-        return RefinedResult(shape, (), Poly.const(1), SquareClassFormula())
+        return RefinedResult(shape, (), Poly.const(1), SquareClassFormula(), Poly())
 
     constituents = tuple(
         c for j in range(1, n // 2 + 1) for gamma in partitions_of(n - 2 * j)
@@ -372,12 +375,14 @@ def refined_decomposition(shape: Partition) -> RefinedResult:
     # -d = d mod 2
     sym = determinant_class(shape)
     dim = sym.dimension
+    detb = detb_exponent(shape)
     terms = [(sym.c_reduced, 1)]
     for c in constituents:
         sub = refined_decomposition(c.gamma)
         dim = dim - sub.refined_dimension * c.multiplicity
+        detb = detb - sub.detB_exponent * c.multiplicity
         d = Binomials.of(sub.refined_dimension)
         terms.append((c.c_reduced, d))
         terms.append((sub.refined_det, -c.multiplicity))
-    det = SquareClassFormula.product(terms, detb_exponent(shape))
-    return RefinedResult(shape, constituents, dim, det.reduced())
+    det = SquareClassFormula.product(terms)
+    return RefinedResult(shape, constituents, dim, det.reduced(), detb)

@@ -16,7 +16,7 @@ from importlib import resources
 
 import pytest
 
-from symdet.cli import main as cli_main
+from symdet.cli import _class_json, main as cli_main
 from symdet.combinat import (
     Partition,
     compositions_of,
@@ -304,7 +304,7 @@ def _dense_agrees(shape, diag, detb_exponent=None):
     N = len(diag)
     result = refined_decomposition(shape)
     if detb_exponent is None:
-        detb_exponent = result.refined_det.detB_exponent(N)
+        detb_exponent = result.detB_exponent(N)
     expected = result.refined_det.evaluate_class(N) * math.prod(diag) ** (int(detb_exponent) % 2)
     dim, det = _dense_refined(shape, diag)
     ratio = det / expected  # a nonzero rational square when the classes agree
@@ -331,8 +331,9 @@ def test_criterion_6_refined_determinant():
     c3 = Binomials.unit(3)
     n_binomials = Binomials.unit(1)
     assert reduced.factors == {2: n_binomials, 3: c3, Poly((-1, 1)): n_binomials}
-    assert reduced.detB_exponent == Poly((-2, 0, 1))
-    assert reduced.render_text() == "2^N * 3^C(N,3) * (N - 1)^N * det(B)^(N^2 - 2)"
+    assert result.detB_exponent == Poly((-2, 0, 1))
+    display = _class_json(reduced, result.detB_exponent)["display"]
+    assert display == "2^N * 3^C(N,3) * (N - 1)^N * det(B)^(N^2 - 2)"
 
     # dense oracle for (2,1), orthonormal model
     for N in (4, 5, 6):
@@ -416,7 +417,7 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
     shape, diag = P((2, 2)), _stretched(4)
     result = refined_decomposition(shape)
     naive = shape.n * result.refined_dimension(4) / 4
-    assert (result.refined_det.detB_exponent(4), naive) == (15, 10)
+    assert (result.detB_exponent(4), naive) == (15, 10)
     assert _dense_agrees(shape, diag)
     assert not _dense_agrees(shape, diag, naive)
     print("\nACCEPTANCE 7: PASS - negative controls behave")

@@ -149,6 +149,15 @@ class TestSymCommand:
         assert exc.value.code == 2
         assert "decimal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["table", "--n", "+3"], ["--jobs", "1_0", "sym", "2,1"]], ids=["n", "jobs"])
+    def test_a_malformed_number_option_prints_the_readers_message(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "is not a number in decimal digits" in err
+        assert "_decimal" not in err
+
     def test_latex(self, capsys):
         code, out = run(capsys, "--jobs", "1", "--format", "latex", "sym", "2,1")
         assert code == 0
@@ -292,6 +301,17 @@ class TestVerifyCommand:
         assert code == 1
         assert out.count("mismatch:") == 1
         assert "matrix (3,2,1) pattern (1, 1, 1, 1, 1, 1)" in out
+
+    def test_a_golden_block_of_the_wrong_size_fails(self, capsys, tmp_path):
+        # the engine's 3x3 block less its last row and column matches its own top-left corner
+        mat = [list(row[:-1]) for row in gram_block(Partition((3, 1)), (1, 1, 1, 1)).matrix[:-1]]
+        assert len(mat) == 2
+        bad = tmp_path / "golden.json"
+        bad.write_text(_edited_golden(lambda doc: doc["matrices"].update({"3,1|1,1,1,1": mat})))
+        code, out = run(capsys, "--jobs", "1", "verify", "--scope", "sym", "--golden", str(bad))
+        assert code == 1
+        assert out.count("mismatch:") == 1
+        assert "matrix (3,1) pattern (1, 1, 1, 1)" in out
 
     def test_refined_class_mismatch_prints_in_sym_notation(self, capsys, tmp_path):
         def edit(doc):

@@ -259,8 +259,8 @@ def _formula(factors) -> SquareClassFormula:
     return SquareClassFormula.product(terms)
 
 
-def _snapshot(f: SquareClassFormula) -> tuple:
-    return dict(f.factors), f.detB_exponent
+def _snapshot(f: SquareClassFormula) -> dict:
+    return dict(f.factors)
 
 
 class TestSquareClassFormula:
@@ -298,11 +298,9 @@ class TestSquareClassFormula:
         with pytest.raises(ValueError, match="not a constant"):
             poly.value()
 
-    def test_value_rejects_a_negative_exponent_and_det_b(self):
+    def test_value_rejects_a_negative_exponent(self):
         with pytest.raises(ValueError, match="not a constant"):
             SquareClassFormula.product([(Fraction(1, 3), Binomials.unit(0))]).value()
-        with pytest.raises(ValueError, match="det"):
-            SquareClassFormula(detB_exponent=Poly.const(1)).value()
 
     def test_a_value_without_linear_split_raises(self):
         square = Poly((1, 0, 1)) ** 2  # (N^2 + 1)^2 is a square, yet has no linear split
@@ -325,7 +323,7 @@ class TestSquareClassFormula:
 
     @given(st.lists(_FACTORS, min_size=1, max_size=4), st.integers(min_value=1, max_value=3))
     def test_a_value_times_its_inverse_is_one(self, factors, power):
-        formula = SquareClassFormula(_formula(factors).factors, Poly((-1, 1)))
+        formula = _formula(factors)
         e = Binomials((1, 2, 0, 1))
         for value, exponent, inverse in (
             (Fraction(12, 35), e, e * -1),
@@ -334,20 +332,16 @@ class TestSquareClassFormula:
         ):
             one = SquareClassFormula.product([(value, exponent), (value, inverse)])
             assert one == SquareClassFormula()
-        det_b = SquareClassFormula.product([(formula, -1)], Poly((-1, 1)))
-        assert det_b == SquareClassFormula({b: e * -1 for b, e in formula.factors.items()})
+        inverse = SquareClassFormula.product([(formula, -1)])
+        assert inverse == SquareClassFormula({b: e * -1 for b, e in formula.factors.items()})
 
     def test_a_constant_formula_takes_a_binomials_power(self):
         e = Binomials((1, 2, 0, 1))
         constant = SquareClassFormula.product([(Poly((-1, 2)) * 12, Binomials.unit(0))])
         expect = SquareClassFormula.product([(Poly((-1, 2)) * 12, e)])
         assert SquareClassFormula.product([(constant, e)]) == expect
-        for formula in (
-            SquareClassFormula.product([(12, Binomials.unit(1))]),
-            SquareClassFormula(constant.factors, Poly.const(1)),
-        ):
-            with pytest.raises(ValueError, match="has no power 1\\+2\\*N\\+C\\(N,3\\)"):
-                SquareClassFormula.product([(formula, e)])
+        with pytest.raises(ValueError, match="has no power 1\\+2\\*N\\+C\\(N,3\\)"):
+            SquareClassFormula.product([(SquareClassFormula.product([(12, Binomials.unit(1))]), e)])
 
     def test_product_rejects_non_splitting_and_non_positive_values(self):
         with pytest.raises(ArithmeticError, match="-N\\^4 \\+ 1 does not split"):
@@ -358,8 +352,8 @@ class TestSquareClassFormula:
             with pytest.raises(ValueError, match="only positive bases"):
                 SquareClassFormula.product([(value, Binomials.unit(1))])
 
-    def test_holds_only_factors_and_det_b(self):
-        assert SquareClassFormula.__slots__ == ("factors", "detB_exponent")
+    def test_holds_only_factors(self):
+        assert SquareClassFormula.__slots__ == ("factors",)
 
     def test_tables_are_read_only_copies(self):
         factors = {2: Binomials.unit(2), Poly((-1, 1)): Binomials.unit(1)}
@@ -393,14 +387,13 @@ class TestSquareClassFormula:
             (Poly((2, 1)), Binomials.unit(3) * 3),
             (Poly((-1, 1)), Binomials((1, 1))),
         ]
-        f = SquareClassFormula.product(terms, Poly((-2, 0, 1)))
-        text = "2^C(N,2) * 3^(2*C(N,2)) * (N - 1)^(1+N) * (N + 2)^(3*C(N,3)) * det(B)^(N^2 - 2)"
+        f = SquareClassFormula.product(terms)
+        text = "2^C(N,2) * 3^(2*C(N,2)) * (N - 1)^(1+N) * (N + 2)^(3*C(N,3))"
         assert f.render_text() == text
         assert f.render_latex() == (
-            "2^{\\binom{N}{2}} 3^{2\\binom{N}{2}} (N - 1)^{1+N} (N + 2)^{3\\binom{N}{3}} "
-            "\\det(B)^{N^2 - 2}"
+            "2^{\\binom{N}{2}} 3^{2\\binom{N}{2}} (N - 1)^{1+N} (N + 2)^{3\\binom{N}{3}}"
         )
-        assert _class_json(f) == {
+        assert _class_json(f, Poly((-2, 0, 1))) == {
             "factors": [
                 {"base": "2", "exponent_binomials": {"2": "1"}},
                 {"base": "3", "exponent_binomials": {"2": "2"}},
@@ -408,9 +401,12 @@ class TestSquareClassFormula:
                 {"base": "N + 2", "exponent_binomials": {"3": "3"}},
             ],
             "detB_exponent": "N^2 - 2",
-            "display": text,
+            "display": "2^C(N,2) * 3^(2*C(N,2)) * (N - 1)^(1+N) * (N + 2)^(3*C(N,3)) * det(B)^(N^2 - 2)",
             "unreduced": False,
         }
+        assert _class_json(f)["detB_exponent"] == "0"
+        assert _class_json(f)["display"] == text
+        assert _class_json(SquareClassFormula(), Poly.const(1))["display"] == "det(B)"
 
     def test_json_roundtrip_stable(self):
         import json

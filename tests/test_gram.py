@@ -13,6 +13,7 @@ from symdet.combinat import (
 )
 from symdet.exact import POLY_N, Poly, SquareClassFormula, bareiss_det, squarefree_part
 from symdet.gram import (
+    MAX_SYM_N,
     MAX_TABLE_N,
     NoTableauxError,
     _below,
@@ -218,6 +219,16 @@ class TestSymmetrizationDeterminant:
         result = symmetrization_determinant(P((8,)))
         assert len(built) == 1
         assert result.c_formula.reduced() == closed_form_c(P((8,))).reduced()
+
+    def test_weight_limit_is_exact(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a Gram block was built beyond the weight limit")
+
+        with monkeypatch.context() as m:
+            m.setattr("symdet.gram.gram_block", forbidden)
+            with pytest.raises(ValueError, match=f"n <= {MAX_SYM_N}"):
+                symmetrization_determinant(P((MAX_SYM_N + 1,)))
+        assert len(symmetrization_determinant(P((MAX_SYM_N,))).blocks) == 2 ** (MAX_SYM_N - 1)
 
     def test_parallel_matches_serial(self):
         serial = symmetrization_determinant(P((3, 2)), jobs=1)

@@ -2,8 +2,10 @@
 
 A case copies ``src/`` to a temporary directory, applies its one
 replacement there (the old text must occur exactly once), and runs its
-test node in a fresh interpreter that imports the copy.  The case passes
-when that node fails.  The working tree is never edited.  A mutant that
+test node in a fresh interpreter that imports the copy, with pytest's
+cache and hypothesis plugins off: no node needs either, and loading the
+hypothesis plugin tripled a node's start-up.  The case passes when that
+node fails.  The working tree is never edited.  A mutant that
 no test can catch is listed in ``EQUIVALENT`` with the reason, and its
 copy must print the widest table byte for byte.
 """
@@ -178,6 +180,19 @@ MUTANTS = [
         "tests/test_acceptance.py::test_criterion_6_refined_determinant",
     ),
     (
+        "gram.py",
+        "if not 1 <= shape.n <= MAX_SYM_N:",
+        "if not 1 <= shape.n <= MAX_SYM_N + 1:",
+        "tests/test_gram.py::TestSymmetrizationDeterminant::test_weight_limit_is_exact",
+    ),
+    (
+        # a golden block smaller than the engine's then matches its top-left corner
+        "golden.py",
+        "    if len(got) != size:\n        return False\n",
+        "",
+        "tests/test_cli.py::TestVerifyCommand::test_a_golden_block_of_the_wrong_size_fails",
+    ),
+    (
         # a fullwidth digit is a digit to str.isdigit, and int() reads it
         "combinat.py",
         "text.isascii() and text.isdigit()",
@@ -214,7 +229,7 @@ def test_mutant_is_caught(tmp_path, name, old, new, node):
     src = _mutated_src(tmp_path, name, old, new)
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest", node],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     # exit code 1 with "1 failed": the node was collected, ran and failed

@@ -314,8 +314,7 @@ class TestRefinedDecomposition:
         assert [c.gamma for c in r.constituents] == [P((1,))]
         assert r.constituents[0].c_matrix == ((Poly((-8, 8)),),)
         assert r.refined_dimension.factored_str() == "N*(N-2)*(N+2)/3"
-        reduced = r.refined_det.reduced()
-        assert reduced.detB_exponent == Poly((-2, 0, 1))
+        assert r.detB_exponent == Poly((-2, 0, 1))
 
     def test_three_one_dimension(self):
         r = refined_decomposition(P((3, 1)))
@@ -324,12 +323,11 @@ class TestRefinedDecomposition:
     def test_exterior_untouched(self):
         r = refined_decomposition(P((1, 1, 1)))
         assert r.constituents == ()
-        sym_det = refined_decomposition(P((1, 1, 1))).refined_det
         from symdet.gram import symmetrization_determinant
 
         sym = symmetrization_determinant(P((1, 1, 1)))
-        full = SquareClassFormula(sym.c_formula.factors, sym.detB_exponent)
-        assert sym_det.reduced().render_text() == full.reduced().render_text()
+        assert r.refined_det.reduced() == sym.c_formula.reduced()
+        assert r.detB_exponent == sym.detB_exponent
 
     def test_cached_results_cannot_be_mutated(self):
         r = refined_decomposition(P((3, 1)))
@@ -378,14 +376,16 @@ class TestRefinedDecomposition:
         assert empty.refined_dimension == Poly.const(1)
         single = refined_decomposition(P((1,)))
         assert single.refined_dimension == Poly((0, 1))
-        assert single.refined_det.detB_exponent == Poly.const(1)
+        assert single.detB_exponent == Poly.const(1)
+        assert empty.detB_exponent == Poly()
 
     def test_rendering_of_the_refined_two_one_determinant(self):
-        f = refined_decomposition(P((2, 1))).refined_det
+        r = refined_decomposition(P((2, 1)))
+        f = r.refined_det
         text = "2^N * 3^C(N,3) * (N - 1)^N * det(B)^(N^2 - 2)"
-        assert f.render_text() == text
-        assert f.render_latex() == "2^{N} 3^{\\binom{N}{3}} (N - 1)^{N} \\det(B)^{N^2 - 2}"
-        assert _class_json(f) == {
+        assert f.render_text() == "2^N * 3^C(N,3) * (N - 1)^N"
+        assert f.render_latex() == "2^{N} 3^{\\binom{N}{3}} (N - 1)^{N}"
+        assert _class_json(f, r.detB_exponent) == {
             "factors": [
                 {"base": "2", "exponent_binomials": {"1": "1"}},
                 {"base": "3", "exponent_binomials": {"3": "1"}},

@@ -24,7 +24,7 @@ def _instances():
         P((2, 1)),
         Poly((1, 2)),
         Binomials((1, 0, 1)),
-        SquareClassFormula(formula.factors, Poly((0, 1))),
+        formula,
         gram_block(P((2, 1)), (1, 1, 1)),
         symmetrization_determinant(P((2, 1))),
         determinant_class(P((2, 1))),
